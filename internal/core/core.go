@@ -137,17 +137,6 @@ func TailShare(bursts []Burst, frac float64) float64 {
 	return top / total
 }
 
-// TailShareCurve returns Fig. 9's curve: for each x in topFracs (as
-// fractions of all bursts), the fraction of all FTPDATA bytes carried
-// by the x largest bursts.
-func TailShareCurve(bursts []Burst, topFracs []float64) []float64 {
-	out := make([]float64, len(topFracs))
-	for i, f := range topFracs {
-		out[i] = TailShare(bursts, f)
-	}
-	return out
-}
-
 // burstSizes returns burst byte counts sorted descending.
 func burstSizes(bursts []Burst) []float64 {
 	sizes := make([]float64, len(bursts))

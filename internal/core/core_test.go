@@ -80,10 +80,6 @@ func TestTailShare(t *testing.T) {
 	if TailShare(nil, 0.5) != 0 {
 		t.Error("empty bursts share")
 	}
-	curve := TailShareCurve(bursts, []float64{0.1, 0.5})
-	if curve[0] != TailShare(bursts, 0.1) || curve[1] != TailShare(bursts, 0.5) {
-		t.Error("curve mismatch")
-	}
 }
 
 func TestTopBursts(t *testing.T) {

@@ -6,8 +6,8 @@
 // null model), the Pareto family (TELNET packet interarrivals, FTPDATA
 // burst sizes — Appendix B), log-normal and log₂-normal (TELNET
 // connection sizes in packets, FTPDATA spacing), the log-extreme
-// (Gumbel-in-log-space) law for connection bytes, the log-logistic
-// (FTPDATA spacing alternative), and Weibull. Discrete laws (Poisson,
+// (Gumbel-in-log-space) law for connection bytes, and Weibull.
+// Discrete laws (Poisson,
 // binomial, geometric, the Zipf "platoon" law of Appendix B) support the
 // statistical tests and the traffic sources.
 //

@@ -157,42 +157,3 @@ func (w Weibull) Mean() float64 {
 	g, _ := math.Lgamma(1 + 1/w.K)
 	return w.Lambda * math.Exp(g)
 }
-
-// Uniform is the continuous uniform distribution on [Lo, Hi].
-type Uniform struct {
-	Lo, Hi float64
-}
-
-// NewUniform returns a uniform distribution on [lo, hi].
-func NewUniform(lo, hi float64) Uniform {
-	if hi <= lo {
-		panic("dist: uniform requires hi > lo")
-	}
-	return Uniform{Lo: lo, Hi: hi}
-}
-
-// CDF returns the uniform CDF.
-func (u Uniform) CDF(x float64) float64 {
-	switch {
-	case x <= u.Lo:
-		return 0
-	case x >= u.Hi:
-		return 1
-	default:
-		return (x - u.Lo) / (u.Hi - u.Lo)
-	}
-}
-
-// Quantile returns lo + p·(hi-lo).
-func (u Uniform) Quantile(p float64) float64 {
-	checkProb(p)
-	return u.Lo + p*(u.Hi-u.Lo)
-}
-
-// Rand draws a uniform variate.
-func (u Uniform) Rand(rng *rand.Rand) float64 {
-	return u.Lo + rng.Float64()*(u.Hi-u.Lo)
-}
-
-// Mean returns the midpoint.
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }

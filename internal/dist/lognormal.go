@@ -92,58 +92,3 @@ func (l LogNormal) Var() float64 {
 	s2 := sigma * sigma
 	return math.Expm1(s2) * math.Exp(2*mu+s2)
 }
-
-// LogLogistic is the log-logistic distribution with scale Alpha (the
-// median) and shape Beta:
-//
-//	F(x) = 1 / (1 + (x/α)^{-β}),  x > 0.
-//
-// Section VI notes the upper tail of FTPDATA intra-session spacings is
-// better approximated by a log-normal or log-logistic than by an
-// exponential.
-type LogLogistic struct {
-	Alpha float64 // scale (median), > 0
-	Beta  float64 // shape, > 0
-}
-
-// NewLogLogistic returns a log-logistic distribution.
-func NewLogLogistic(alpha, beta float64) LogLogistic {
-	if alpha <= 0 || beta <= 0 {
-		panic("dist: log-logistic requires positive parameters")
-	}
-	return LogLogistic{Alpha: alpha, Beta: beta}
-}
-
-// CDF returns 1/(1+(x/α)^{-β}).
-func (l LogLogistic) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return 1 / (1 + math.Pow(x/l.Alpha, -l.Beta))
-}
-
-// Quantile returns α·(p/(1-p))^{1/β}.
-func (l LogLogistic) Quantile(p float64) float64 {
-	checkProb(p)
-	if p == 0 {
-		return 0
-	}
-	if p == 1 {
-		return math.Inf(1)
-	}
-	return l.Alpha * math.Pow(p/(1-p), 1/l.Beta)
-}
-
-// Rand draws a log-logistic variate.
-func (l LogLogistic) Rand(rng *rand.Rand) float64 {
-	return l.Quantile(u01(rng))
-}
-
-// Mean returns απ/(β sin(π/β)) for β > 1, +Inf otherwise.
-func (l LogLogistic) Mean() float64 {
-	if l.Beta <= 1 {
-		return math.Inf(1)
-	}
-	t := math.Pi / l.Beta
-	return l.Alpha * t / math.Sin(t)
-}

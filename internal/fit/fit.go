@@ -120,22 +120,6 @@ func NormalMLE(xs []float64) dist.Normal {
 	return dist.NewNormal(stats.Mean(xs), sd)
 }
 
-// LogNormalMLE fits a log-normal in the given base by fitting a normal
-// to log_base(x). Section V fits the TELNET connection size in packets
-// with base 2 (x̄ = log₂ 100, σ = 2.24).
-func LogNormalMLE(xs []float64, base float64) dist.LogNormal {
-	logs := make([]float64, len(xs))
-	lb := math.Log(base)
-	for i, x := range xs {
-		if x <= 0 {
-			panic("fit: log-normal sample must be positive")
-		}
-		logs[i] = math.Log(x) / lb
-	}
-	n := NormalMLE(logs)
-	return dist.NewLogNormalBase(base, n.Mu, n.Sigma)
-}
-
 // GumbelMoments fits a Gumbel law by the method of moments:
 // β = s·√6/π, α = m - γβ.
 func GumbelMoments(xs []float64) dist.Gumbel {

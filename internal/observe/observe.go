@@ -31,16 +31,23 @@ import (
 // loop (the replayer or a future wanload socket reader), matching the
 // per-shard accumulator contract in internal/stream.
 type Observatory struct {
-	opt     Options
-	baseBin float64 // fine bin width = Window / binsPerWindow
+	opt Options
 
-	cur     int64 // current estimator window index
-	started bool
+	cur int64 // current estimator window index
 
-	arrivals *stream.RollingCounter // Window-sized counts: rate/dispersion/lag1
-	bins     *stream.RollingCounter // fine-grained counts: variance-time slope
-	sizes    *stream.Decayed        // decayed size moments + log₂ tail sample
-	quant    *stream.Tumbling       // per-window GK quantiles of sizes
+	// ring is the one count series behind rate, dispersion, lag-1 and
+	// the Hurst proxy: arrivals per Window/binsPerWindow bin, oldest
+	// first, binsPerWindow bins per window, at most KeepWindows
+	// windows, the newest of which is ringTop. It is empty until the
+	// first record. ringLead bins at the front precede the first
+	// record's bin: they count toward their window's sum but stay
+	// out of the Hurst series, which starts at the first record.
+	ring     []int64
+	ringTop  int64
+	ringLead int
+
+	sizes *stream.Decayed // decayed size moments + log₂ tail sample
+	quant *stream.GK      // sizes since the last window close
 
 	records    int64 // records ever observed
 	winRecords int64 // records in the open window
@@ -51,8 +58,6 @@ type Observatory struct {
 	protoWin   [nproto]int64 // records per protocol, open window
 	protoTotal [nproto]int64
 
-	lastP50, lastP95 float64 // captured by the tumbling OnClose
-
 	detRate *PageHinkley
 	detDisp *PageHinkley
 	detTail *PageHinkley
@@ -60,6 +65,14 @@ type Observatory struct {
 	closeWM *obs.Watermark // window_close stamp, resolved once in New
 
 	lastEst Estimate
+
+	// Per-close scratch, sized once in New: prefix sums of the ring,
+	// one level's block means, the variance-time levels up to the
+	// ring's largest maxM, and the fit points.
+	prefix     []int64
+	means      []float64
+	levels     []int
+	fitX, fitY []float64
 }
 
 // nproto covers every trace.Protocol value (Other..WWW).
@@ -69,6 +82,9 @@ const nproto = 9
 // variance-time curve: the Hurst slope needs counts at time scales
 // *below* the estimator window to see short-range structure.
 const binsPerWindow = 8
+
+// vtPointsPerDecade is the variance-time curve's level density.
+const vtPointsPerDecade = 5
 
 // Options configures an Observatory. The zero value selects the
 // defaults noted on each field.
@@ -202,25 +218,22 @@ type Event struct {
 // New returns an Observatory with the given options.
 func New(opt Options) *Observatory {
 	opt = opt.withDefaults()
+	bins := opt.KeepWindows * binsPerWindow
 	o := &Observatory{
-		opt:      opt,
-		baseBin:  opt.Window / binsPerWindow,
-		arrivals: stream.NewRollingCounter(opt.Window, opt.KeepWindows),
-		bins:     stream.NewRollingCounter(opt.Window/binsPerWindow, opt.KeepWindows*binsPerWindow),
-		sizes:    stream.NewDecayed(opt.Window, opt.HalfLife),
-		detRate:  NewPageHinkley(opt.Delta, opt.Lambda, opt.Warmup, opt.Cooldown),
-		detDisp:  NewPageHinkley(opt.Delta, opt.Lambda, opt.Warmup, opt.Cooldown),
-		detTail:  NewPageHinkley(opt.Delta, opt.Lambda, opt.Warmup, opt.Cooldown),
-		closeWM:  opt.Marks.Stage(obs.StageWindowClose),
+		opt:     opt,
+		ring:    make([]int64, 0, bins),
+		sizes:   stream.NewDecayed(opt.Window, opt.HalfLife),
+		quant:   stream.NewGK(opt.Eps),
+		detRate: NewPageHinkley(opt.Delta, opt.Lambda, opt.Warmup, opt.Cooldown),
+		detDisp: NewPageHinkley(opt.Delta, opt.Lambda, opt.Warmup, opt.Cooldown),
+		detTail: NewPageHinkley(opt.Delta, opt.Lambda, opt.Warmup, opt.Cooldown),
+		closeWM: opt.Marks.Stage(obs.StageWindowClose),
+		prefix:  make([]int64, bins+1),
+		means:   make([]float64, bins/2),
+		levels:  stats.VTLevels(bins/4, vtPointsPerDecade),
 	}
-	o.quant = stream.NewTumbling(opt.Window, func() stream.Accumulator { return stream.NewGK(opt.Eps) })
-	o.quant.OnClose = func(_ int64, inner stream.Accumulator) {
-		o.lastP50, o.lastP95 = 0, 0
-		if gk, ok := inner.(*stream.GK); ok && gk.Count() > 0 {
-			o.lastP50 = finite(gk.Quantile(0.50))
-			o.lastP95 = finite(gk.Quantile(0.95))
-		}
-	}
+	o.fitX = make([]float64, 0, len(o.levels))
+	o.fitY = make([]float64, 0, len(o.levels))
 	return o
 }
 
@@ -258,9 +271,10 @@ func (o *Observatory) observe(t, x float64, p trace.Protocol) {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
 		x = 0
 	}
-	w := o.windowIndex(t)
-	if !o.started {
-		o.cur, o.started = w, true
+	w, b := o.bin(t)
+	if len(o.ring) == 0 {
+		o.cur, o.ringTop, o.ringLead = w, w, b
+		o.ring = append(o.ring, make([]int64, binsPerWindow)...)
 	} else if w > o.cur {
 		o.closeThrough(w)
 	}
@@ -272,28 +286,66 @@ func (o *Observatory) observe(t, x float64, p trace.Protocol) {
 	}
 	o.protoWin[pi]++
 	o.protoTotal[pi]++
-	o.arrivals.ObserveAt(t, 0)
-	o.bins.ObserveAt(t, 0)
+	o.advance(w)
+	// A record older than the ring's first window is counted but not
+	// binned: its window has already left the rolling horizon.
+	if base := o.ringTop - int64(len(o.ring)/binsPerWindow) + 1; w >= base {
+		o.ring[(w-base)*binsPerWindow+int64(b)]++
+	}
 	o.sizes.ObserveAt(t, x)
-	o.quant.ObserveAt(t, x)
+	o.quant.Observe(x)
 }
 
 // Flush closes the currently open (partial) window so a finite trace
 // ends with a final estimate. The next observation opens a fresh
 // window.
 func (o *Observatory) Flush() {
-	if !o.started {
+	if len(o.ring) == 0 {
 		return
 	}
 	o.closeThrough(o.cur + 1)
 }
 
-func (o *Observatory) windowIndex(t float64) int64 {
-	w := t / o.opt.Window
-	if w >= math.MaxInt64/2 {
-		return math.MaxInt64 / 2
+// maxWindow caps the window index so a corrupted timestamp cannot
+// force an astronomic fast-forward (or overflow the index arithmetic).
+const maxWindow = math.MaxInt64 / 2
+
+// bin maps an event time to its window index and its bin within that
+// window. The bin derives from the window index: Window/binsPerWindow
+// is a power-of-two scaling of Window, so t/(Window/8) rounds to
+// exactly 8·(t/Window), and its integer part is 8·w plus the bin
+// below. A capped time lands in bin 0 of the capped window.
+func (o *Observatory) bin(t float64) (int64, int) {
+	x := t / o.opt.Window
+	if x >= maxWindow {
+		return maxWindow, 0
 	}
-	return int64(w)
+	w := int64(x)
+	return w, int((x - float64(w)) * binsPerWindow)
+}
+
+// advance makes window w the ring's newest: the ring grows up to
+// KeepWindows windows, then slides, zeroing the bins it exposes.
+func (o *Observatory) advance(w int64) {
+	shift := w - o.ringTop
+	if shift <= 0 {
+		return
+	}
+	o.ringTop = w
+	for ; shift > 0 && len(o.ring) < o.opt.KeepWindows*binsPerWindow; shift-- {
+		o.ring = append(o.ring, make([]int64, binsPerWindow)...)
+	}
+	if shift == 0 {
+		return
+	}
+	o.ringLead = 0 // the first record's window has slid out
+	if n := int64(len(o.ring) / binsPerWindow); shift >= n {
+		clear(o.ring)
+		return
+	}
+	k := int(shift) * binsPerWindow
+	copy(o.ring, o.ring[k:])
+	clear(o.ring[len(o.ring)-k:])
 }
 
 // closeThrough closes every window in [cur, w) in order. A
@@ -317,18 +369,15 @@ func (o *Observatory) closeThrough(w int64) {
 	}
 }
 
-// closeWindow advances every windowed sketch to the end of window wc,
-// recomputes the estimators, emits the verdict event and feeds the
-// detectors.
+// closeWindow advances the ring and the decayed sizes to window wc,
+// recomputes the estimators, starts the next window's quantile
+// summary, emits the verdict event and feeds the detectors.
 func (o *Observatory) closeWindow(wc int64) {
-	wd := o.opt.Window
-	mid := (float64(wc) + 0.5) * wd
-	o.arrivals.AdvanceTo(mid)
-	o.bins.AdvanceTo(float64(wc+1)*wd - 0.5*o.baseBin)
-	o.sizes.AdvanceTo(mid)
-	o.quant.AdvanceTo((float64(wc) + 1.5) * wd) // closes wc → OnClose captures p50/p95
+	o.advance(wc)
+	o.sizes.AdvanceTo((float64(wc) + 0.5) * o.opt.Window)
 
 	est := o.estimate(wc)
+	o.quant = stream.NewGK(o.opt.Eps)
 	o.closed++
 	o.lastEst = est
 	o.closeWM.Stamp(est.TEnd)
@@ -341,21 +390,28 @@ func (o *Observatory) closeWindow(wc int64) {
 
 func (o *Observatory) estimate(wc int64) Estimate {
 	est := Estimate{
-		Window:     wc,
-		TEnd:       float64(wc+1) * o.opt.Window,
-		Records:    o.winRecords,
-		Total:      o.records,
-		Rate:       finite(o.arrivals.Rate()),
-		Dispersion: finite(o.arrivals.Dispersion()),
-		Lag1:       finite(o.arrivals.Lag1()),
-		P50:        o.lastP50,
-		P95:        o.lastP95,
-		MeanSize:   finite(o.sizes.Mean()),
-		Weight:     finite(o.sizes.Weight()),
+		Window:   wc,
+		TEnd:     float64(wc+1) * o.opt.Window,
+		Records:  o.winRecords,
+		Total:    o.records,
+		MeanSize: finite(o.sizes.Mean()),
+		Weight:   finite(o.sizes.Weight()),
+	}
+	p := o.prefix[:len(o.ring)+1]
+	var sum int64
+	for i, c := range o.ring {
+		sum += c
+		p[i+1] = sum
+	}
+	est.Rate, est.Dispersion, est.Lag1 = o.windowStats(p)
+	est.Rate, est.Dispersion, est.Lag1 = finite(est.Rate), finite(est.Dispersion), finite(est.Lag1)
+	if o.quant.Count() > 0 {
+		est.P50 = finite(o.quant.Quantile(0.50))
+		est.P95 = finite(o.quant.Quantile(0.95))
 	}
 	est.TailAlpha, est.TailWeight = HillBinned(o.sizes.Buckets(), o.opt.TailFrac)
 	est.TailAlpha, est.TailWeight = finite(est.TailAlpha), finite(est.TailWeight)
-	est.Hurst = o.hurst()
+	est.Hurst = o.hurst(o.ring[o.ringLead:], p[o.ringLead:])
 	for pi, n := range o.protoWin {
 		if n == 0 {
 			continue
@@ -369,17 +425,55 @@ func (o *Observatory) estimate(wc int64) Estimate {
 	return est
 }
 
-// hurst fits the variance-time slope over the fine-bin counts and
-// maps it to H = 1 + slope/2 (slope −1 ⇒ H = 0.5 ⇒ Poisson;
-// DESIGN.md §9). It returns 0 until the retained horizon carries
-// enough occupied bins to aggregate meaningfully.
-func (o *Observatory) hurst() float64 {
-	counts := o.bins.Counts()
-	if len(counts) < 4*binsPerWindow {
+// windowStats returns the rate, index of dispersion and lag-1
+// autocorrelation of the per-window counts over the ring, given its
+// prefix sums p (window i's count is p[8i+8]−p[8i]). The arithmetic
+// is the batch one: integer sums, then float deviations in window
+// order.
+func (o *Observatory) windowStats(p []int64) (rate, disp, lag1 float64) {
+	n := len(o.ring) / binsPerWindow
+	if n == 0 {
+		return 0, 0, 0
+	}
+	win := func(i int) float64 { return float64(p[(i+1)*binsPerWindow] - p[i*binsPerWindow]) }
+	sum := p[len(p)-1]
+	rate = float64(sum) / (float64(n) * o.opt.Window)
+	mean := float64(sum) / float64(n)
+	var ss, num float64
+	for i := 0; i < n; i++ {
+		d := win(i) - mean
+		ss += d * d
+		if i+1 < n {
+			num += d * (win(i+1) - mean)
+		}
+	}
+	if mean != 0 {
+		disp = ss / float64(n) / mean
+	}
+	if n >= 3 && ss != 0 {
+		lag1 = num / ss
+	}
+	return rate, disp, lag1
+}
+
+// hurst fits the variance-time slope over the fine-bin series bins
+// (prefix sums p) and maps it to H = 1 + slope/2 (slope −1 ⇒ H = 0.5
+// ⇒ Poisson; DESIGN.md §9). It returns 0 until the retained horizon
+// carries enough occupied bins to aggregate meaningfully.
+//
+// The curve is stats.VarianceTime's, point for point: each level's
+// block means are integer block sums over m, then the batch Mean →
+// Variance → normalization → log10, and the fit is VTSlope's
+// least-squares line over 2 ≤ M ≤ maxM. Counts are integers, so the
+// batch path's float sums of them are exact and the result is
+// bit-identical — computed serially, without allocating.
+func (o *Observatory) hurst(bins, p []int64) float64 {
+	n := len(bins)
+	if n < 4*binsPerWindow {
 		return 0
 	}
 	var nonzero int
-	for _, c := range counts {
+	for _, c := range bins {
 		if c > 0 {
 			nonzero++
 		}
@@ -387,9 +481,39 @@ func (o *Observatory) hurst() float64 {
 	if nonzero < 2*binsPerWindow {
 		return 0
 	}
-	maxM := len(counts) / 4
-	pts := stats.VarianceTime(counts, maxM, 5)
-	slope := stats.VTSlope(pts, 2, maxM)
+	maxM := n / 4
+	mean := float64(p[n]-p[0]) / float64(n)
+	norm := mean * mean
+	xs, ys := o.fitX[:0], o.fitY[:0]
+	for _, m := range o.levels {
+		if m > maxM {
+			break
+		}
+		if m < 2 {
+			continue
+		}
+		means, fm := o.means[:n/m], float64(m)
+		var s float64
+		for j := range means {
+			means[j] = float64(p[(j+1)*m]-p[j*m]) / fm
+			s += means[j]
+		}
+		mu := s / float64(len(means))
+		var ss float64
+		for _, x := range means {
+			d := x - mu
+			ss += d * d
+		}
+		var normVar float64
+		if norm > 0 {
+			normVar = ss / float64(len(means)) / norm
+		}
+		if normVar > 0 {
+			xs = append(xs, math.Log10(float64(m)))
+			ys = append(ys, math.Log10(normVar))
+		}
+	}
+	slope, _ := stats.LeastSquares(xs, ys)
 	h := 1 + slope/2
 	if math.IsNaN(h) || math.IsInf(h, 0) {
 		return 0
@@ -637,13 +761,17 @@ func finite(v float64) float64 {
 	return v
 }
 
+// stateVersion is obsState's format version. Restore rejects every
+// other version; states are not migrated.
+const stateVersion = 2
+
 // obsState is the observatory's serialized form (DESIGN.md §14): the
-// windowed sketch states ride along whole, detector states inline.
+// count ring inline, the size sketches' states whole, detector states
+// inline.
 type obsState struct {
 	V          int             `json:"v"`
 	Window     float64         `json:"window"`
 	Cur        int64           `json:"cur"`
-	Started    bool            `json:"started"`
 	Closed     int64           `json:"closed"`
 	Records    int64           `json:"records"`
 	WinRecords int64           `json:"win_records"`
@@ -651,10 +779,9 @@ type obsState struct {
 	Changes    int64           `json:"changes"`
 	ProtoWin   [nproto]int64   `json:"proto_win"`
 	ProtoTotal [nproto]int64   `json:"proto_total"`
-	LastP50    float64         `json:"last_p50"`
-	LastP95    float64         `json:"last_p95"`
-	Arrivals   json.RawMessage `json:"arrivals"`
-	Bins       json.RawMessage `json:"bins"`
+	RingTop    int64           `json:"ring_top"`
+	RingLead   int             `json:"ring_lead"`
+	Ring       []int64         `json:"ring"`
 	Sizes      json.RawMessage `json:"sizes"`
 	Quant      json.RawMessage `json:"quant"`
 	DetRate    PHState         `json:"det_rate"`
@@ -668,21 +795,15 @@ type obsState struct {
 // stream reproduces the uninterrupted run's event sequence exactly.
 func (o *Observatory) State() ([]byte, error) {
 	st := obsState{
-		V: 1, Window: o.opt.Window, Cur: o.cur, Started: o.started,
+		V: stateVersion, Window: o.opt.Window, Cur: o.cur,
 		Closed: o.closed, Records: o.records, WinRecords: o.winRecords,
 		Skipped: o.skipped, Changes: o.changes,
 		ProtoWin: o.protoWin, ProtoTotal: o.protoTotal,
-		LastP50: o.lastP50, LastP95: o.lastP95,
+		RingTop: o.ringTop, RingLead: o.ringLead, Ring: o.ring,
 		DetRate: o.detRate.State(), DetDisp: o.detDisp.State(), DetTail: o.detTail.State(),
 		LastEst: o.lastEst,
 	}
 	var err error
-	if st.Arrivals, err = o.arrivals.State(); err != nil {
-		return nil, err
-	}
-	if st.Bins, err = o.bins.State(); err != nil {
-		return nil, err
-	}
 	if st.Sizes, err = o.sizes.State(); err != nil {
 		return nil, err
 	}
@@ -695,47 +816,109 @@ func (o *Observatory) State() ([]byte, error) {
 // Restore replaces the observatory's analytical state from State
 // output. The receiver must have been built with the same Options the
 // serialized observatory ran under; output wiring (OnEvent, Bus,
-// Metrics, Logger) is the receiver's own.
+// Metrics, Logger) is the receiver's own. A state whose fields
+// contradict each other is rejected and leaves the receiver as it
+// was.
 func (o *Observatory) Restore(data []byte) error {
 	var st obsState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("observe: decoding state: %w", err)
 	}
-	if st.V != 1 {
-		return fmt.Errorf("observe: unsupported state version %d", st.V)
+	if st.V != stateVersion {
+		return fmt.Errorf("observe: unsupported state version %d (this build reads version %d only)", st.V, stateVersion)
 	}
 	if st.Window != o.opt.Window {
 		return fmt.Errorf("observe: state window %g does not match options window %g", st.Window, o.opt.Window)
 	}
-	if st.Records < 0 || st.Closed < 0 || st.WinRecords < 0 {
-		return fmt.Errorf("observe: state has negative counters")
+	if err := o.checkState(&st); err != nil {
+		return err
 	}
-	if err := o.arrivals.Restore(st.Arrivals); err != nil {
-		return fmt.Errorf("observe: arrivals: %w", err)
-	}
-	if err := o.bins.Restore(st.Bins); err != nil {
-		return fmt.Errorf("observe: bins: %w", err)
-	}
-	if err := o.sizes.Restore(st.Sizes); err != nil {
+	sizes := stream.NewDecayed(o.opt.Window, o.opt.HalfLife)
+	if err := sizes.Restore(st.Sizes); err != nil {
 		return fmt.Errorf("observe: sizes: %w", err)
 	}
-	if err := o.quant.Restore(st.Quant); err != nil {
+	quant := stream.NewGK(o.opt.Eps)
+	if err := quant.Restore(st.Quant); err != nil {
 		return fmt.Errorf("observe: quantiles: %w", err)
 	}
-	if err := o.detRate.Restore(st.DetRate); err != nil {
-		return err
+	dets := []*PageHinkley{
+		NewPageHinkley(o.opt.Delta, o.opt.Lambda, o.opt.Warmup, o.opt.Cooldown),
+		NewPageHinkley(o.opt.Delta, o.opt.Lambda, o.opt.Warmup, o.opt.Cooldown),
+		NewPageHinkley(o.opt.Delta, o.opt.Lambda, o.opt.Warmup, o.opt.Cooldown),
 	}
-	if err := o.detDisp.Restore(st.DetDisp); err != nil {
-		return err
+	for i, ds := range []PHState{st.DetRate, st.DetDisp, st.DetTail} {
+		if err := dets[i].Restore(ds); err != nil {
+			return err
+		}
 	}
-	if err := o.detTail.Restore(st.DetTail); err != nil {
-		return err
-	}
-	o.cur, o.started = st.Cur, st.Started
+	o.sizes, o.quant = sizes, quant
+	o.detRate, o.detDisp, o.detTail = dets[0], dets[1], dets[2]
+	o.cur = st.Cur
+	o.ring = append(o.ring[:0], st.Ring...)
+	o.ringTop, o.ringLead = st.RingTop, st.RingLead
 	o.closed, o.records, o.winRecords = st.Closed, st.Records, st.WinRecords
 	o.skipped, o.changes = st.Skipped, st.Changes
 	o.protoWin, o.protoTotal = st.ProtoWin, st.ProtoTotal
-	o.lastP50, o.lastP95 = st.LastP50, st.LastP95
 	o.lastEst = st.LastEst
+	return nil
+}
+
+// checkState rejects a state whose counters and ring contradict each
+// other or the receiver's options: anything that could index outside
+// the ring, or that no record sequence produces.
+func (o *Observatory) checkState(st *obsState) error {
+	if st.Records < 0 || st.Closed < 0 || st.WinRecords < 0 || st.Skipped < 0 || st.Changes < 0 {
+		return fmt.Errorf("observe: state has negative counters")
+	}
+	if st.Cur < 0 {
+		return fmt.Errorf("observe: state window index %d is negative", st.Cur)
+	}
+	if err := sumsTo("proto_total", st.ProtoTotal[:], st.Records); err != nil {
+		return err
+	}
+	if err := sumsTo("proto_win", st.ProtoWin[:], st.WinRecords); err != nil {
+		return err
+	}
+	n := len(st.Ring)
+	if n%binsPerWindow != 0 || n > o.opt.KeepWindows*binsPerWindow {
+		return fmt.Errorf("observe: state ring holds %d bins, want a multiple of %d up to %d",
+			n, binsPerWindow, o.opt.KeepWindows*binsPerWindow)
+	}
+	if st.RingLead < 0 || st.RingLead >= binsPerWindow || (n == 0 && st.RingLead != 0) {
+		return fmt.Errorf("observe: state ring lead %d out of range", st.RingLead)
+	}
+	binned := st.Records
+	for _, c := range st.Ring {
+		if c < 0 || c > binned {
+			return fmt.Errorf("observe: state ring counts negative or beyond %d records", st.Records)
+		}
+		binned -= c
+	}
+	if n == 0 {
+		if st.Records != 0 || st.Closed != 0 || st.Cur != 0 || st.RingTop != 0 {
+			return fmt.Errorf("observe: state has counters but no ring")
+		}
+		return nil
+	}
+	if st.RingTop > st.Cur || st.RingTop < int64(n/binsPerWindow)-1 {
+		return fmt.Errorf("observe: state ring spans windows [%d, %d], outside [0, cur %d]",
+			st.RingTop-int64(n/binsPerWindow)+1, st.RingTop, st.Cur)
+	}
+	return nil
+}
+
+// sumsTo reports whether the non-negative parts add up to total, with
+// no int64 overflow on the way.
+func sumsTo(name string, parts []int64, total int64) error {
+	left := total
+	for _, v := range parts {
+		if v < 0 || v > left {
+			return fmt.Errorf("observe: state %s does not sum to %d", name, total)
+		}
+		left -= v
+	}
+	if left != 0 {
+		return fmt.Errorf("observe: state %s does not sum to %d", name, total)
+	}
 	return nil
 }

@@ -1,0 +1,325 @@
+package observe
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"wantraffic/internal/stats"
+	"wantraffic/internal/trace"
+)
+
+// ringTimes builds a time-ordered arrival stream that exercises the
+// ring: the first record lands mid-window (so the Hurst series starts
+// mid-window during warm-up), Poisson and clustered phases alternate,
+// and the stream crosses a 10-window gap and a gap longer than
+// KeepWindows.
+func ringTimes(seed int64, window float64, keep int) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	t := window * (3 + rng.Float64()*4)
+	var ts []float64
+	phase := func(until float64, bursty bool) {
+		for t < until {
+			if bursty {
+				for k := 8 + rng.Intn(24); k > 0; k-- {
+					t += rng.ExpFloat64() * 0.01
+					ts = append(ts, t)
+				}
+				t += rng.ExpFloat64() * 0.8
+				continue
+			}
+			t += rng.ExpFloat64() / 8
+			ts = append(ts, t)
+		}
+	}
+	phase(t+40*window, false)
+	phase(t+40*window, true)
+	t += 10 * window // gap of ten windows: every window still closes
+	phase(t+30*window, false)
+	t += float64(3*keep) * window // gap past the horizon: fast-forward
+	phase(t+40*window, true)
+	return ts
+}
+
+// TestEstimatesMatchBatchRecompute pins the ring's estimators to the
+// batch statistics: every verdict's Rate, Dispersion, Lag1 and Hurst
+// equal, bit for bit, a recomputation from stats.CountProcess over the
+// same records, cut to the horizon the observatory retains —
+// dispersion and lag-1 from the per-window counts, Hurst from
+// stats.VarianceTime + stats.VTSlope over the fine bins.
+func TestEstimatesMatchBatchRecompute(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		opt := Options{Window: 5, KeepWindows: 24, Warmup: 6}
+		if seed%2 == 0 {
+			opt.Window, opt.KeepWindows = 2.5, 12
+		}
+		var ests []Estimate
+		opt.OnEvent = func(ev Event) {
+			if ev.Estimate != nil {
+				ests = append(ests, *ev.Estimate)
+			}
+		}
+		ts := ringTimes(seed, opt.Window, opt.KeepWindows)
+		o := New(opt)
+		for _, tm := range ts {
+			o.ObserveConn(trace.Conn{Start: tm, Proto: trace.FTPData, BytesResp: 100})
+		}
+		o.Flush()
+
+		w, k := opt.Window, int64(opt.KeepWindows)
+		last := ests[len(ests)-1].Window
+		horizon := float64(last+1) * w
+		wins := stats.CountProcess(ts, w, horizon)
+		bins := stats.CountProcess(ts, w/binsPerWindow, horizon)
+		w0 := int64(ts[0] / w)
+		b0 := int64(ts[0] / (w / binsPerWindow))
+		var hursts, gapped int
+		for _, est := range ests {
+			wc := est.Window
+			counts := wins[max(w0, wc-k+1) : wc+1]
+			var sum float64
+			for _, c := range counts {
+				sum += c
+			}
+			want := Estimate{
+				Rate:       finite(sum / (float64(len(counts)) * w)),
+				Dispersion: finite(stats.Variance(counts) / stats.Mean(counts)),
+				Lag1:       finite(stats.Autocorrelation(counts, 1)),
+				Hurst:      batchHurst(bins[max(b0, binsPerWindow*(wc-k+1)) : binsPerWindow*(wc+1)]),
+			}
+			got := Estimate{Rate: est.Rate, Dispersion: est.Dispersion, Lag1: est.Lag1, Hurst: est.Hurst}
+			if !sameBits(got, want) {
+				t.Fatalf("seed %d window %d: ring estimate %+v, batch recompute %+v", seed, wc, got, want)
+			}
+			if est.Hurst > 0 {
+				hursts++
+			}
+			if sum == 0 {
+				gapped++
+			}
+		}
+		if hursts < 20 || gapped == 0 {
+			t.Fatalf("seed %d: %d Hurst estimates, %d all-empty horizons: stream too tame", seed, hursts, gapped)
+		}
+	}
+}
+
+// batchHurst is the observatory's Hurst proxy computed the batch way.
+func batchHurst(bins []float64) float64 {
+	if len(bins) < 4*binsPerWindow {
+		return 0
+	}
+	var nonzero int
+	for _, c := range bins {
+		if c > 0 {
+			nonzero++
+		}
+	}
+	if nonzero < 2*binsPerWindow {
+		return 0
+	}
+	maxM := len(bins) / 4
+	h := 1 + stats.VTSlope(stats.VarianceTime(bins, maxM, vtPointsPerDecade), 2, maxM)/2
+	if math.IsNaN(h) || math.IsInf(h, 0) {
+		return 0
+	}
+	return math.Min(math.Max(h, 0.01), 1.5)
+}
+
+func sameBits(a, b Estimate) bool {
+	for _, p := range [][2]float64{{a.Rate, b.Rate}, {a.Dispersion, b.Dispersion}, {a.Lag1, b.Lag1}, {a.Hurst, b.Hurst}} {
+		if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
+			return false
+		}
+	}
+	return true
+}
+
+// ringSum is the number of records binned in the ring.
+func ringSum(o *Observatory) int64 {
+	var n int64
+	for _, c := range o.ring {
+		n += c
+	}
+	return n
+}
+
+// TestObservatoryRingEviction: the ring holds exactly KeepWindows
+// windows, a record older than its first window is counted but not
+// binned, and a fast-forward past the horizon empties it.
+func TestObservatoryRingEviction(t *testing.T) {
+	o := New(Options{Window: 1, KeepWindows: 4})
+	for i := 0; i < 10; i++ {
+		o.ObserveConn(trace.Conn{Start: float64(i) + 0.5}) // one record per window 0..9
+	}
+	if len(o.ring) != 4*binsPerWindow || o.ringTop != 9 || ringSum(o) != 4 {
+		t.Fatalf("ring holds %d bins up to window %d with %d records, want 4 windows up to 9 with 4",
+			len(o.ring), o.ringTop, ringSum(o))
+	}
+	if got := o.Last().Rate; got != 1 {
+		t.Fatalf("rate = %g, want 1", got)
+	}
+	o.ObserveConn(trace.Conn{Start: 0.5}) // window 0 left the horizon
+	if o.Records() != 11 || ringSum(o) != 4 {
+		t.Fatalf("records = %d, binned = %d after a stale record, want 11/4", o.Records(), ringSum(o))
+	}
+	o.ObserveConn(trace.Conn{Start: 1000.5})
+	if o.ringTop != 1000 || ringSum(o) != 1 || o.skipped == 0 {
+		t.Fatalf("after fast-forward: top %d, binned %d, skipped %d; want 1000, 1, >0",
+			o.ringTop, ringSum(o), o.skipped)
+	}
+	if est := o.Last(); est.Window != 999 || est.Rate != 0 || est.Dispersion != 0 {
+		t.Fatalf("fast-forwarded estimate %+v, want window 999 over an empty horizon", est)
+	}
+}
+
+// TestObservatoryDispersionPoissonVsBursty: evenly spread arrivals
+// read dispersion 0, clustered ones far above 1.
+func TestObservatoryDispersionPoissonVsBursty(t *testing.T) {
+	smooth := New(Options{Window: 1, KeepWindows: 64})
+	bursty := New(Options{Window: 1, KeepWindows: 64})
+	for i := 0; i < 64; i++ {
+		smooth.ObserveConn(trace.Conn{Start: float64(i) + 0.25})
+		bursty.ObserveConn(trace.Conn{Start: float64(i/16)*16 + 0.25}) // 4 bursts of 16
+	}
+	smooth.Flush()
+	bursty.Flush()
+	if d := smooth.Last().Dispersion; d != 0 {
+		t.Fatalf("smooth dispersion = %g, want 0", d)
+	}
+	if d := bursty.Last().Dispersion; d < 5 {
+		t.Fatalf("bursty dispersion = %g, want >= 5", d)
+	}
+}
+
+// TestObservatoryQuantilesPerWindow: each verdict's p50/p95 cover
+// exactly the records since the previous close; the empty windows a
+// gap crosses report none; a late record folds into the open window.
+func TestObservatoryQuantilesPerWindow(t *testing.T) {
+	var ests []Estimate
+	o := New(Options{Window: 10, OnEvent: func(ev Event) {
+		if ev.Estimate != nil {
+			ests = append(ests, *ev.Estimate)
+		}
+	}})
+	for i := 0; i < 35; i++ {
+		o.ObserveConn(trace.Conn{Start: float64(i), BytesResp: int64(i)})
+	}
+	o.Flush()
+	if len(ests) != 4 {
+		t.Fatalf("%d estimates, want 4", len(ests))
+	}
+	for i, est := range ests {
+		lo, hi := float64(10*i), float64(10*i+9)
+		if i == 3 {
+			hi = 34
+		}
+		if est.P50 < lo || est.P50 > hi || est.P95 < est.P50 || est.P95 > hi {
+			t.Fatalf("window %d: p50 %g p95 %g outside its own records [%g, %g]", i, est.P50, est.P95, lo, hi)
+		}
+	}
+	ests = ests[:0]
+	o.ObserveConn(trace.Conn{Start: 100, BytesResp: 2})
+	o.ObserveConn(trace.Conn{Start: 250, BytesResp: 2})
+	if len(ests) != 21 || ests[0].P50 != 0 || ests[6].P50 != 2 || ests[7].P50 != 0 {
+		t.Fatalf("gap closes: %d estimates, want windows 4..24 with only window 10 holding a record", len(ests))
+	}
+	o.ObserveConn(trace.Conn{Start: 40, BytesResp: 1 << 20}) // late: folds into window 25
+	o.Flush()
+	if est := o.Last(); est.Window != 25 || est.Records != 2 || est.P95 != 1<<20 {
+		t.Fatalf("late record: window %d, %d records, p95 %g; want 25, 2, %d", est.Window, est.Records, est.P95, 1<<20)
+	}
+}
+
+// midStreamState is a valid state with a partly filled ring.
+func midStreamState(t *testing.T) []byte {
+	t.Helper()
+	var evs []Event
+	o := New(testOptions(&evs))
+	for _, c := range regimeSwapConns(47, 100, 200)[:600] {
+		o.ObserveConn(c)
+	}
+	st, err := o.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// editState returns st with the named top-level fields replaced.
+func editState(t *testing.T, st []byte, fields map[string]any) []byte {
+	t.Helper()
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(st, &m); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range fields {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m[k] = raw
+	}
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestObservatoryRestoreRejectsInconsistentState: Restore cross-checks
+// the ring against the window index and the counters against each
+// other, and a rejected state leaves the observatory untouched.
+func TestObservatoryRestoreRejectsInconsistentState(t *testing.T) {
+	var evs []Event
+	st := midStreamState(t)
+	var s obsState
+	if err := json.Unmarshal(st, &s); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Ring) == 0 || s.Cur < 2 {
+		t.Fatal("fixture state has no ring to corrupt")
+	}
+	long := make([]int64, 24*binsPerWindow+binsPerWindow)
+	negative := append([]int64(nil), s.Ring...)
+	negative[len(negative)-1] = -1
+	ragged := s.Ring[:len(s.Ring)-1]
+	protoTotal, protoWin := s.ProtoTotal, s.ProtoWin
+	protoTotal[3]++
+	protoWin[3]++
+	cases := map[string]map[string]any{
+		"cur far negative":      {"cur": int64(-9e18)},
+		"ring past keep":        {"ring": long},
+		"negative count":        {"ring": negative},
+		"ring not whole window": {"ring": ragged},
+		"ring top past cur":     {"ring_top": s.Cur + 1},
+		"ring before window 0":  {"ring_top": int64(len(s.Ring)/binsPerWindow) - 2},
+		"lead out of range":     {"ring_lead": binsPerWindow},
+		"proto_total sum":       {"proto_total": protoTotal},
+		"proto_win sum":         {"proto_win": protoWin},
+		"records without ring":  {"ring": []int64{}, "ring_top": 0, "ring_lead": 0},
+		"ring beyond records":   {"ring": append([]int64{s.Records + 1}, s.Ring[1:]...)},
+	}
+	for name, fields := range cases {
+		o := New(testOptions(&evs))
+		if err := o.Restore(st); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Restore(editState(t, st, fields)); err == nil {
+			t.Errorf("%s: inconsistent state accepted", name)
+			continue
+		}
+		if after, err := o.State(); err != nil || !bytes.Equal(after, st) {
+			t.Errorf("%s: rejected restore modified the observatory", name)
+		}
+	}
+	// A version 1 state is refused with a version error, not a
+	// field-decoding error.
+	err := New(testOptions(&evs)).Restore(editState(t, st, map[string]any{"v": 1}))
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("v1 state: got %v, want a version error", err)
+	}
+}

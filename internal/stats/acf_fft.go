@@ -10,7 +10,7 @@ import (
 // r(0..maxLag) in O(n log n) via the Wiener–Khinchin theorem:
 // the inverse transform of the periodogram of the zero-padded,
 // mean-removed series yields the autocovariances. It matches
-// AutocorrelationFunc to floating-point accuracy and is the right tool
+// Autocorrelation at every lag to floating-point accuracy and is the right tool
 // for the long count processes of the Section VII analyses.
 func AutocorrelationFFT(xs []float64, maxLag int) []float64 {
 	n := len(xs)

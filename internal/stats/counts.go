@@ -80,27 +80,12 @@ type VTPoint struct {
 // variance divides by the square of the unaggregated mean so processes
 // with different rates are comparable, exactly as in Fig. 5.
 func VarianceTime(counts []float64, maxM, pointsPerDecade int) []VTPoint {
-	if pointsPerDecade <= 0 {
-		panic("stats: pointsPerDecade must be positive")
-	}
 	if maxM > len(counts)/2 {
 		maxM = len(counts) / 2
 	}
 	mean := Mean(counts)
 	norm := mean * mean
-	var levels []int
-	seen := map[int]bool{}
-	for e := 0.0; ; e += 1.0 / float64(pointsPerDecade) {
-		m := int(math.Round(math.Pow(10, e)))
-		if m > maxM {
-			break
-		}
-		if m < 1 || seen[m] {
-			continue
-		}
-		seen[m] = true
-		levels = append(levels, m)
-	}
+	levels := VTLevels(maxM, pointsPerDecade)
 	// Each aggregation level is an independent O(n) pass, so the curve
 	// is computed with bounded parallelism; every point is produced
 	// wholly by one goroutine (see internal/par), keeping the result
@@ -119,6 +104,30 @@ func VarianceTime(counts []float64, maxM, pointsPerDecade int) []VTPoint {
 		}
 		return p
 	})
+}
+
+// VTLevels returns the aggregation levels VarianceTime evaluates:
+// round(10^(k/pointsPerDecade)) for k = 0, 1, ..., ascending and
+// deduplicated, up to maxM inclusive. The levels for a smaller maxM
+// are a prefix of these.
+func VTLevels(maxM, pointsPerDecade int) []int {
+	if pointsPerDecade <= 0 {
+		panic("stats: pointsPerDecade must be positive")
+	}
+	var levels []int
+	seen := map[int]bool{}
+	for e := 0.0; ; e += 1.0 / float64(pointsPerDecade) {
+		m := int(math.Round(math.Pow(10, e)))
+		if m > maxM {
+			break
+		}
+		if m < 1 || seen[m] {
+			continue
+		}
+		seen[m] = true
+		levels = append(levels, m)
+	}
+	return levels
 }
 
 // VTSlope fits a least-squares line to the (log10 M, log10 var) points

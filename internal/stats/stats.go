@@ -132,15 +132,6 @@ func Autocorrelation(xs []float64, lag int) float64 {
 	return num / den
 }
 
-// AutocorrelationFunc returns r(0..maxLag).
-func AutocorrelationFunc(xs []float64, maxLag int) []float64 {
-	out := make([]float64, maxLag+1)
-	for k := 0; k <= maxLag; k++ {
-		out[k] = Autocorrelation(xs, k)
-	}
-	return out
-}
-
 // Diff returns the successive differences xs[i+1]-xs[i]; applied to
 // sorted arrival times it yields interarrival times.
 func Diff(xs []float64) []float64 {

@@ -1,569 +1,34 @@
 package stream
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
 )
 
-// Windowed accumulators: the always-on observatory's memory model.
+// Decayed is the observatory's time-windowed memory of record sizes.
 //
 // The base accumulators summarize a whole stream from t=0; a
 // monitoring process instead needs "the recent past" — Paxson &
 // Floyd's burstiness is a statement about every time scale, and Clegg
 // et al. (PAPERS.md) show that averaging a non-stationary stream into
 // one cumulative estimate silently launders regime changes into fake
-// long-range dependence. Three windowed forms cover the observatory's
-// needs:
+// long-range dependence. The observatory (internal/observe) keeps its
+// own count ring for rate, dispersion, lag-1 and the variance-time
+// slope, and a plain GK summary it replaces at each window close for
+// the per-window quantiles; the one piece it takes from here is
+// Decayed: exponentially time-decayed moments plus a decayed log₂
+// histogram, the tail sample behind the rolling Hill estimator.
 //
-//   - RollingCounter: a WindowCounter that retains only the last K
-//     windows exactly (evicted windows collapse into exact totals), so
-//     rate / dispersion / lag-1 / variance-time answer "now", in O(K)
-//     memory over an unbounded stream.
-//   - Tumbling: a generic restart wrapper around any base Accumulator
-//     (moments, GK quantiles, log₂ histograms, ...): observations fold
-//     into the current time window's inner sketch, which is handed to
-//     an OnClose hook and replaced when the window rolls. GK gets its
-//     windowed form this way — deletion is impossible in a GK summary,
-//     restarting is exact.
-//   - Decayed: exponentially time-decayed moments plus a decayed log₂
-//     histogram (the tail sample behind the rolling Hill estimator).
-//     Decay is quantized to window boundaries — the weight multiplier
-//     is always 2^(-windows·width/halfLife) for an integer window step
-//     — so the state is a pure function of the observation sequence,
-//     never of arrival wall time.
-//
-// All three keep the base contract (DESIGN.md §10, §14): State is a
-// deterministic byte-exact capture, Restore(State()) is an exact
-// round-trip, observe(a);State/Restore;observe(b) ≡ observe(a+b)
-// byte-for-byte, and Merge is pure so canonical (ascending-shard)
-// folds are permutation-invariant. Because windows are indexed by
-// *event time*, not wall time, a time-dilated replay produces the
-// same windows — and therefore the same estimator and verdict
-// sequence — at any dilation factor.
+// Decayed keeps the base serialization contract (DESIGN.md §10,
+// §14): State is a deterministic byte-exact capture, Restore(State())
+// is an exact round-trip, and observe(a);State/Restore;observe(b) ≡
+// observe(a+b) byte-for-byte. Decay is indexed by *event time*, not
+// wall time, so a time-dilated replay produces the same state — and
+// therefore the same estimator and verdict sequence — at any dilation
+// factor. It has no Merge: the observatory runs on one ingest loop.
 
-// TimedAccumulator is the windowed extension of Accumulator: the
-// observation carries its event time, which drives window rolls and
-// decay. RollingCounter, Tumbling and Decayed implement it.
-type TimedAccumulator interface {
-	// Kind names the windowed sketch type.
-	Kind() string
-	// Count returns the exact number of observations ever folded in
-	// (retained or not).
-	Count() int64
-	// ObserveAt folds one observation with value x at event time t
-	// (seconds since stream start). Times should be non-decreasing;
-	// late observations fold into the current window with accounting.
-	ObserveAt(t, x float64)
-	// AdvanceTo rolls windows forward to contain time t without
-	// recording an observation — the stream-end flush and the
-	// estimator tick use it to close out windows deterministically.
-	AdvanceTo(t float64)
-	// Merge folds another windowed accumulator of the same kind and
-	// configuration into the receiver.
-	Merge(other TimedAccumulator) error
-	// State serializes the sketch deterministically as JSON.
-	State() ([]byte, error)
-	// Restore replaces the sketch's state from State output.
-	Restore(data []byte) error
-}
-
-const (
-	rollingKind  = "rollwin"
-	tumblingKind = "tumbling"
-	decayedKind  = "decayed"
-)
-
-// RollingCounter is the rolling extension of WindowCounter: it bins
-// event times into fixed-width windows but retains only the most
-// recent Keep windows exactly; older windows are evicted into exact
-// scalar totals. Rate, Dispersion and Lag1 therefore answer over the
-// retained horizon — "the last Keep·width seconds" — while Count and
-// EvictedEvents stay exact over the whole stream.
-type RollingCounter struct {
-	width   float64
-	keep    int
-	base    int64   // index of the first retained window
-	ring    []int64 // counts for windows [base, base+len(ring))
-	started bool    // false until the first in-range observation/advance
-
-	evictedWins   int64 // windows evicted so far
-	evictedEvents int64 // events inside evicted windows
-	stale         int64 // events older than the retained horizon on arrival
-	early         int64 // events before t=0 (or NaN)
-	total         int64
-}
-
-// NewRollingCounter returns an empty rolling counter retaining keep
-// windows of the given width (width ≤ 0 selects 1 s, keep < 1 selects
-// 64).
-func NewRollingCounter(width float64, keep int) *RollingCounter {
-	if !(width > 0) {
-		width = 1
-	}
-	if keep < 1 {
-		keep = 64
-	}
-	return &RollingCounter{width: width, keep: keep}
-}
-
-// Kind implements TimedAccumulator.
-func (r *RollingCounter) Kind() string { return rollingKind }
-
-// Count returns the exact number of events observed, retained or not.
-func (r *RollingCounter) Count() int64 { return r.total }
-
-// Width returns the window width in seconds.
-func (r *RollingCounter) Width() float64 { return r.width }
-
-// Keep returns the retained-window capacity.
-func (r *RollingCounter) Keep() int { return r.keep }
-
-// Base returns the index of the oldest retained window.
-func (r *RollingCounter) Base() int64 { return r.base }
-
-// Retained returns the number of windows currently held.
-func (r *RollingCounter) Retained() int { return len(r.ring) }
-
-// EvictedEvents returns the events that have aged out of the ring.
-func (r *RollingCounter) EvictedEvents() int64 { return r.evictedEvents }
-
-// Stale returns the events that arrived already older than the
-// retained horizon (counted, never binned).
-func (r *RollingCounter) Stale() int64 { return r.stale }
-
-// windowIndex maps an event time to its window index, capped so a
-// corrupted timestamp cannot force an astronomic fast-forward.
-func (r *RollingCounter) windowIndex(t float64) int64 {
-	w := t / r.width
-	if w >= math.MaxInt64/2 {
-		return math.MaxInt64 / 2
-	}
-	return int64(w)
-}
-
-// advance rolls the ring forward so window w is representable,
-// evicting windows that fall off the back.
-func (r *RollingCounter) advance(w int64) {
-	if !r.started {
-		// The ring starts at the first observed window, so a stream
-		// beginning mid-day does not drag a day of empty windows.
-		r.base = w
-		r.started = true
-	}
-	top := r.base + int64(len(r.ring)) - 1
-	if w <= top {
-		return
-	}
-	// Grow up to capacity first, then slide.
-	for w > top && len(r.ring) < r.keep {
-		r.ring = append(r.ring, 0)
-		top++
-	}
-	if w > top {
-		shift := w - top
-		if shift >= int64(len(r.ring)) {
-			// Fast-forward past the whole ring: evict everything.
-			for _, c := range r.ring {
-				r.evictedEvents += c
-			}
-			r.evictedWins += shift
-			for i := range r.ring {
-				r.ring[i] = 0
-			}
-			r.base = w - int64(len(r.ring)) + 1
-			return
-		}
-		for i := int64(0); i < shift; i++ {
-			r.evictedEvents += r.ring[i]
-		}
-		copy(r.ring, r.ring[shift:])
-		for i := int64(len(r.ring)) - shift; i < int64(len(r.ring)); i++ {
-			r.ring[i] = 0
-		}
-		r.base += shift
-		r.evictedWins += shift
-	}
-}
-
-// Observe implements Accumulator (the observation is the event time),
-// so a RollingCounter can stand in wherever a WindowCounter does.
-func (r *RollingCounter) Observe(t float64) { r.ObserveAt(t, t) }
-
-// ObserveMany implements Accumulator.
-func (r *RollingCounter) ObserveMany(ts []float64) {
-	for _, t := range ts {
-		r.ObserveAt(t, t)
-	}
-}
-
-// ObserveAt implements TimedAccumulator; x is ignored (the statistic
-// is the count process itself).
-func (r *RollingCounter) ObserveAt(t, _ float64) {
-	r.total++
-	if t < 0 || math.IsNaN(t) {
-		r.early++
-		return
-	}
-	w := r.windowIndex(t)
-	if r.started && w < r.base {
-		r.stale++
-		return
-	}
-	r.advance(w)
-	r.ring[w-r.base]++
-}
-
-// AdvanceTo implements TimedAccumulator: windows strictly before t's
-// window stay retained, older ones are evicted, no event is recorded.
-func (r *RollingCounter) AdvanceTo(t float64) {
-	if t < 0 || math.IsNaN(t) {
-		return
-	}
-	r.advance(r.windowIndex(t))
-}
-
-// Counts returns the retained per-window counts as float64s, oldest
-// first — the vector Dispersion/Lag1 and the variance-time slope
-// consume.
-func (r *RollingCounter) Counts() []float64 {
-	out := make([]float64, len(r.ring))
-	for i, c := range r.ring {
-		out[i] = float64(c)
-	}
-	return out
-}
-
-// WindowCount returns the count of retained window w (0 if outside
-// the ring).
-func (r *RollingCounter) WindowCount(w int64) int64 {
-	if w < r.base || w >= r.base+int64(len(r.ring)) {
-		return 0
-	}
-	return r.ring[w-r.base]
-}
-
-// Rate returns the mean event rate per second over the retained
-// windows.
-func (r *RollingCounter) Rate() float64 {
-	if len(r.ring) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, c := range r.ring {
-		sum += c
-	}
-	return float64(sum) / (float64(len(r.ring)) * r.width)
-}
-
-// Dispersion returns the index of dispersion (variance/mean) of the
-// retained per-window counts — 1 for Poisson, larger under the
-// paper's burstiness.
-func (r *RollingCounter) Dispersion() float64 {
-	return (&WindowCounter{width: r.width, counts: r.ring}).Dispersion()
-}
-
-// Lag1 returns the lag-1 autocorrelation of the retained counts.
-func (r *RollingCounter) Lag1() float64 {
-	return (&WindowCounter{width: r.width, counts: r.ring}).Lag1()
-}
-
-// Merge folds another rolling counter in. Widths and capacities must
-// match; the merged ring covers the younger of the two bases, and
-// counts of the other that fall off it are folded into the evicted
-// totals (exact — no event is lost, only its bin).
-func (r *RollingCounter) Merge(other TimedAccumulator) error {
-	o, ok := other.(*RollingCounter)
-	if !ok {
-		return fmt.Errorf("stream: cannot merge %q into %q", other.Kind(), rollingKind)
-	}
-	if o.width != r.width || o.keep != r.keep {
-		return fmt.Errorf("stream: merging rolling counters with different shapes (%gx%d vs %gx%d)",
-			o.width, o.keep, r.width, r.keep)
-	}
-	oring, obase := o.ring, o.base
-	if o == r {
-		oring = append([]int64(nil), r.ring...)
-	}
-	r.total += o.total
-	r.early += o.early
-	r.stale += o.stale
-	r.evictedEvents += o.evictedEvents
-	if o.evictedWins > r.evictedWins {
-		r.evictedWins = o.evictedWins
-	}
-	if !o.started {
-		return nil
-	}
-	if !r.started {
-		r.started = true
-		r.base = obase
-		r.ring = append(r.ring[:0], oring...)
-		return nil
-	}
-	top := obase + int64(len(oring)) - 1
-	if t := r.base + int64(len(r.ring)) - 1; t > top {
-		top = t
-	}
-	r.advance(top)
-	for i, c := range oring {
-		w := obase + int64(i)
-		if w < r.base {
-			r.evictedEvents += c
-			continue
-		}
-		r.ring[w-r.base] += c
-	}
-	return nil
-}
-
-// rollingState is the serialized form.
-type rollingState struct {
-	Width         float64 `json:"width"`
-	Keep          int     `json:"keep"`
-	Started       bool    `json:"started"`
-	Base          int64   `json:"base"`
-	Ring          []int64 `json:"ring"`
-	EvictedWins   int64   `json:"evicted_windows"`
-	EvictedEvents int64   `json:"evicted_events"`
-	Stale         int64   `json:"stale"`
-	Early         int64   `json:"early"`
-	Total         int64   `json:"total"`
-}
-
-// State implements TimedAccumulator.
-func (r *RollingCounter) State() ([]byte, error) {
-	return marshalState(rollingKind, rollingState{
-		Width: r.width, Keep: r.keep, Started: r.started, Base: r.base, Ring: r.ring,
-		EvictedWins: r.evictedWins, EvictedEvents: r.evictedEvents,
-		Stale: r.stale, Early: r.early, Total: r.total,
-	})
-}
-
-// Restore implements TimedAccumulator.
-func (r *RollingCounter) Restore(data []byte) error {
-	var st rollingState
-	if err := unmarshalState(rollingKind, data, &st); err != nil {
-		return err
-	}
-	if !(st.Width > 0) || st.Keep < 1 {
-		return fmt.Errorf("stream: rolling state has invalid shape width=%g keep=%d", st.Width, st.Keep)
-	}
-	if len(st.Ring) > st.Keep {
-		return fmt.Errorf("stream: rolling state holds %d windows (keep %d)", len(st.Ring), st.Keep)
-	}
-	var binned int64
-	for _, c := range st.Ring {
-		if c < 0 {
-			return fmt.Errorf("stream: rolling state has negative count")
-		}
-		binned += c
-	}
-	if st.EvictedEvents < 0 || st.Stale < 0 || st.Early < 0 ||
-		binned+st.EvictedEvents+st.Stale+st.Early != st.Total {
-		return fmt.Errorf("stream: rolling counts sum to %d but total is %d",
-			binned+st.EvictedEvents+st.Stale+st.Early, st.Total)
-	}
-	*r = RollingCounter{
-		width: st.Width, keep: st.Keep, started: st.Started, base: st.Base, ring: st.Ring,
-		evictedWins: st.EvictedWins, evictedEvents: st.EvictedEvents,
-		stale: st.Stale, early: st.Early, total: st.Total,
-	}
-	return nil
-}
-
-// Tumbling restarts a base accumulator at fixed time-window
-// boundaries: observations fold into the inner sketch of the window
-// their event time falls in; when time crosses a boundary, the closed
-// window's inner sketch is handed to OnClose (windows skipped entirely
-// produce no call) and replaced with a fresh one. The inner factory
-// must be deterministic — same call, same empty sketch — which every
-// stream constructor is.
-type Tumbling struct {
-	width  float64
-	mk     func() Accumulator
-	cur    int64 // current window index
-	open   bool  // false until the first in-range observation
-	inner  Accumulator
-	closed int64 // windows closed so far (only ones that saw data or a roll)
-	late   int64 // observations older than the open window (folded anyway)
-	total  int64
-
-	// OnClose, when set, receives each closed window's inner sketch
-	// before it is replaced. The callee may keep the value; it is
-	// never touched again. Not serialized.
-	OnClose func(window int64, inner Accumulator)
-}
-
-// NewTumbling returns a tumbling wrapper with the given window width
-// in seconds (≤ 0 selects 1 s) around sketches built by mk.
-func NewTumbling(width float64, mk func() Accumulator) *Tumbling {
-	if !(width > 0) {
-		width = 1
-	}
-	return &Tumbling{width: width, mk: mk, inner: mk()}
-}
-
-// Kind implements TimedAccumulator.
-func (u *Tumbling) Kind() string { return tumblingKind }
-
-// Count returns the observations ever folded in, across all windows.
-func (u *Tumbling) Count() int64 { return u.total }
-
-// Width returns the window width in seconds.
-func (u *Tumbling) Width() float64 { return u.width }
-
-// Window returns the index of the currently open window (0 before any
-// observation).
-func (u *Tumbling) Window() int64 { return u.cur }
-
-// Closed returns the number of windows closed so far.
-func (u *Tumbling) Closed() int64 { return u.closed }
-
-// Inner returns the open window's accumulator (live — callers must
-// not mutate it).
-func (u *Tumbling) Inner() Accumulator { return u.inner }
-
-// Late returns the observations that arrived for an already-closed
-// window; they fold into the open window with this accounting.
-func (u *Tumbling) Late() int64 { return u.late }
-
-func (u *Tumbling) windowIndex(t float64) int64 {
-	w := t / u.width
-	if w >= math.MaxInt64/2 {
-		return math.MaxInt64 / 2
-	}
-	return int64(w)
-}
-
-// roll closes windows up to (but not including) w.
-func (u *Tumbling) roll(w int64) {
-	if !u.open {
-		u.cur = w
-		u.open = true
-		return
-	}
-	if w <= u.cur {
-		return
-	}
-	if u.OnClose != nil {
-		u.OnClose(u.cur, u.inner)
-	}
-	u.inner = u.mk()
-	u.closed++
-	u.cur = w
-}
-
-// ObserveAt implements TimedAccumulator.
-func (u *Tumbling) ObserveAt(t, x float64) {
-	u.total++
-	if t < 0 || math.IsNaN(t) {
-		t = 0
-	}
-	w := u.windowIndex(t)
-	if u.open && w < u.cur {
-		u.late++
-	} else {
-		u.roll(w)
-	}
-	u.inner.Observe(x)
-}
-
-// AdvanceTo implements TimedAccumulator: closes the open window when t
-// has moved past it.
-func (u *Tumbling) AdvanceTo(t float64) {
-	if t < 0 || math.IsNaN(t) {
-		return
-	}
-	if w := u.windowIndex(t); u.open && w > u.cur {
-		u.roll(w)
-	}
-}
-
-// Flush closes the open window unconditionally (stream end). The next
-// observation reopens at its own window.
-func (u *Tumbling) Flush() {
-	if !u.open {
-		return
-	}
-	if u.OnClose != nil {
-		u.OnClose(u.cur, u.inner)
-	}
-	u.inner = u.mk()
-	u.closed++
-	u.open = false
-}
-
-// Merge folds another tumbling wrapper in: widths must match and both
-// must be on the same open window (shards tumbling over the same
-// stream always are after an AdvanceTo to a common time).
-func (u *Tumbling) Merge(other TimedAccumulator) error {
-	o, ok := other.(*Tumbling)
-	if !ok {
-		return fmt.Errorf("stream: cannot merge %q into %q", other.Kind(), tumblingKind)
-	}
-	if o.width != u.width {
-		return fmt.Errorf("stream: merging tumbling windows with different widths (%g vs %g)", o.width, u.width)
-	}
-	if o.open && u.open && o.cur != u.cur {
-		return fmt.Errorf("stream: merging tumbling windows open at different indices (%d vs %d)", o.cur, u.cur)
-	}
-	if o.open && !u.open {
-		u.cur, u.open = o.cur, true
-	}
-	u.total += o.total
-	u.late += o.late
-	u.closed += o.closed
-	return u.inner.Merge(o.inner)
-}
-
-// tumblingState is the serialized form: the inner sketch state rides
-// along whole (its envelope already carries its kind).
-type tumblingState struct {
-	Width  float64         `json:"width"`
-	Cur    int64           `json:"window"`
-	Open   bool            `json:"open"`
-	Closed int64           `json:"closed"`
-	Late   int64           `json:"late"`
-	Total  int64           `json:"total"`
-	Inner  json.RawMessage `json:"inner"`
-}
-
-// State implements TimedAccumulator.
-func (u *Tumbling) State() ([]byte, error) {
-	inner, err := u.inner.State()
-	if err != nil {
-		return nil, err
-	}
-	return marshalState(tumblingKind, tumblingState{
-		Width: u.width, Cur: u.cur, Open: u.open, Closed: u.closed,
-		Late: u.late, Total: u.total, Inner: inner,
-	})
-}
-
-// Restore implements TimedAccumulator. The receiver's factory builds
-// the inner sketch the serialized state restores into, so a Tumbling
-// must be constructed with its original factory before Restore.
-func (u *Tumbling) Restore(data []byte) error {
-	var st tumblingState
-	if err := unmarshalState(tumblingKind, data, &st); err != nil {
-		return err
-	}
-	if !(st.Width > 0) {
-		return fmt.Errorf("stream: tumbling state has invalid width %g", st.Width)
-	}
-	if st.Closed < 0 || st.Late < 0 || st.Total < 0 {
-		return fmt.Errorf("stream: tumbling state has negative counters")
-	}
-	inner := u.mk()
-	if err := inner.Restore(st.Inner); err != nil {
-		return fmt.Errorf("stream: tumbling inner: %w", err)
-	}
-	u.width, u.cur, u.open, u.closed, u.late, u.total, u.inner =
-		st.Width, st.Cur, st.Open, st.Closed, st.Late, st.Total, inner
-	return nil
-}
+const decayedKind = "decayed"
 
 // Decayed tracks exponentially time-decayed weighted moments and a
 // decayed log₂ histogram: an observation's weight is 1 at its own
@@ -612,17 +77,8 @@ func NewDecayed(width, halfLife float64) *Decayed {
 	return &Decayed{width: width, halfLife: halfLife, buckets: make(map[int]float64)}
 }
 
-// Kind implements TimedAccumulator.
-func (d *Decayed) Kind() string { return decayedKind }
-
 // Count returns the exact raw observation count (undecayed).
 func (d *Decayed) Count() int64 { return d.total }
-
-// Width returns the decay-quantization window in seconds.
-func (d *Decayed) Width() float64 { return d.width }
-
-// HalfLife returns the decay half-life in seconds.
-func (d *Decayed) HalfLife() float64 { return d.halfLife }
 
 // Weight returns the decayed observation count — the effective sample
 // size of the recent past.
@@ -635,18 +91,6 @@ func (d *Decayed) Mean() float64 {
 	}
 	return d.mean
 }
-
-// Variance returns the decayed weighted population variance.
-func (d *Decayed) Variance() float64 {
-	w := d.weight + d.nonPos
-	if w <= 0 {
-		return 0
-	}
-	return d.m2 / w
-}
-
-// Window returns the current decay window index.
-func (d *Decayed) Window() int64 { return d.cur }
 
 func (d *Decayed) windowIndex(t float64) int64 {
 	w := t / d.width
@@ -687,8 +131,10 @@ func (d *Decayed) roll(w int64) {
 	}
 }
 
-// ObserveAt implements TimedAccumulator: weighted Welford with unit
-// weight for the incoming observation.
+// ObserveAt folds observation x at event time t (seconds since
+// stream start): weighted Welford with unit weight for the incoming
+// observation. A time older than the current decay window folds in
+// undecayed, with accounting.
 func (d *Decayed) ObserveAt(t, x float64) {
 	d.total++
 	if t < 0 || math.IsNaN(t) {
@@ -715,8 +161,8 @@ func (d *Decayed) ObserveAt(t, x float64) {
 	d.m2 += delta * (x - d.mean)
 }
 
-// AdvanceTo implements TimedAccumulator: decays forward to t's window
-// without recording an observation.
+// AdvanceTo decays forward to t's window without recording an
+// observation.
 func (d *Decayed) AdvanceTo(t float64) {
 	if t < 0 || math.IsNaN(t) {
 		return
@@ -743,84 +189,6 @@ type DecayedBucket struct {
 	Weight jsonF64 `json:"w"`
 }
 
-// Merge folds another decayed accumulator in: shapes must match; the
-// older state decays forward to the younger window, then the weighted
-// moments combine (Chan et al. with weights) and buckets add.
-func (d *Decayed) Merge(other TimedAccumulator) error {
-	o, ok := other.(*Decayed)
-	if !ok {
-		return fmt.Errorf("stream: cannot merge %q into %q", other.Kind(), decayedKind)
-	}
-	if o.width != d.width || o.halfLife != d.halfLife {
-		return fmt.Errorf("stream: merging decayed sketches with different shapes (%g/%g vs %g/%g)",
-			o.width, o.halfLife, d.width, d.halfLife)
-	}
-	// Work on copies of the other's aggregates so the source is never
-	// modified (and self-merge stays sound).
-	ow, ononPos, omean, om2, ocur := o.weight, o.nonPos, o.mean, o.m2, o.cur
-	obuckets := make(map[int]float64, len(o.buckets))
-	for e, w := range o.buckets {
-		obuckets[e] = w
-	}
-	decay := func(k int64, weight, nonPos, m2 *float64, buckets map[int]float64) {
-		if k <= 0 {
-			return
-		}
-		g := math.Exp2(-float64(k) * d.width / d.halfLife)
-		*weight *= g
-		*nonPos *= g
-		*m2 *= g
-		for e, w := range buckets {
-			w *= g
-			if w < decayedFloor {
-				delete(buckets, e)
-				continue
-			}
-			buckets[e] = w
-		}
-	}
-	switch {
-	case !o.open:
-		// Nothing to fold beyond counters.
-	case !d.open:
-		d.open, d.cur = true, ocur
-		d.weight, d.nonPos, d.mean, d.m2 = ow, ononPos, omean, om2
-		d.buckets = obuckets
-	default:
-		if ocur > d.cur {
-			d.decayBy(ocur - d.cur)
-			d.cur = ocur
-		} else if d.cur > ocur {
-			decay(d.cur-ocur, &ow, &ononPos, &om2, obuckets)
-		}
-		wa := d.weight + d.nonPos
-		wb := ow + ononPos
-		if wb > 0 {
-			if wa <= 0 {
-				d.mean, d.m2 = omean, om2
-			} else {
-				n := wa + wb
-				delta := omean - d.mean
-				d.mean += delta * wb / n
-				d.m2 += om2 + delta*delta*wa*wb/n
-			}
-		}
-		d.weight += ow
-		d.nonPos += ononPos
-		for e, w := range obuckets {
-			nw := d.buckets[e] + w
-			if nw < decayedFloor {
-				delete(d.buckets, e)
-				continue
-			}
-			d.buckets[e] = nw
-		}
-	}
-	d.total += o.total
-	d.late += o.late
-	return nil
-}
-
 // decayedState is the serialized form; float aggregates ride through
 // jsonF64 so corrupted-trace infinities still serialize, and buckets
 // are sorted so equal states are byte-identical.
@@ -838,7 +206,7 @@ type decayedState struct {
 	Buckets  []DecayedBucket `json:"buckets"`
 }
 
-// State implements TimedAccumulator.
+// State serializes the sketch deterministically as JSON.
 func (d *Decayed) State() ([]byte, error) {
 	return marshalState(decayedKind, decayedState{
 		Width: d.width, HalfLife: d.halfLife, Cur: d.cur, Open: d.open,
@@ -847,7 +215,7 @@ func (d *Decayed) State() ([]byte, error) {
 	})
 }
 
-// Restore implements TimedAccumulator.
+// Restore replaces the sketch's state from State output.
 func (d *Decayed) Restore(data []byte) error {
 	var st decayedState
 	if err := unmarshalState(decayedKind, data, &st); err != nil {

@@ -7,18 +7,11 @@ import (
 	"testing"
 )
 
-// The windowed accumulators extend the PR 7 continuation guarantees:
-// State/Restore at any cut is invisible, and canonical merge folds
-// are pure and order-insensitive.
+// Decayed keeps the accumulator continuation guarantees (DESIGN.md
+// §10): State/Restore at any cut is invisible, and adversarial inputs
+// round-trip.
 
-// timedKinds builds each windowed kind fresh.
-var timedKinds = map[string]func() TimedAccumulator{
-	"rollwin":          func() TimedAccumulator { return NewRollingCounter(0.5, 32) },
-	"tumbling-moments": func() TimedAccumulator { return NewTumbling(2, func() Accumulator { return NewMoments() }) },
-	"tumbling-gk":      func() TimedAccumulator { return NewTumbling(2, func() Accumulator { return NewGK(0.01) }) },
-	"tumbling-hist":    func() TimedAccumulator { return NewTumbling(2, func() Accumulator { return NewLog2Hist() }) },
-	"decayed":          func() TimedAccumulator { return NewDecayed(1, 30) },
-}
+func newTestDecayed() *Decayed { return NewDecayed(1, 30) }
 
 // timedObs yields (time, value) pairs with monotone times and
 // heavy-tailed values, plus a few adversarial ones.
@@ -46,248 +39,42 @@ func timedObs(n int, seed int64) (ts, xs []float64) {
 func TestWindowedContinuationExact(t *testing.T) {
 	ts, xs := timedObs(3000, 7)
 	cuts := []int{0, 1, 17, 64, 99, 100, 512, 1500, 2999, 3000}
-	for kind, mk := range timedKinds {
-		straight := mk()
-		for i := range ts {
-			straight.ObserveAt(ts[i], xs[i])
+	straight := newTestDecayed()
+	for i := range ts {
+		straight.ObserveAt(ts[i], xs[i])
+	}
+	want, err := straight.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range cuts {
+		acc := newTestDecayed()
+		for i := 0; i < cut; i++ {
+			acc.ObserveAt(ts[i], xs[i])
 		}
-		want, err := straight.State()
+		mid, err := acc.State()
 		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
+			t.Fatalf("cut %d: %v", cut, err)
 		}
-		for _, cut := range cuts {
-			acc := mk()
-			for i := 0; i < cut; i++ {
-				acc.ObserveAt(ts[i], xs[i])
+		restored := newTestDecayed()
+		if err := restored.Restore(mid); err != nil {
+			t.Fatalf("cut %d: restore: %v", cut, err)
+		}
+		for _, trail := range []struct {
+			name string
+			acc  *Decayed
+		}{{"original-after-state", acc}, {"restored", restored}} {
+			for i := cut; i < len(ts); i++ {
+				trail.acc.ObserveAt(ts[i], xs[i])
 			}
-			mid, err := acc.State()
+			got, err := trail.acc.State()
 			if err != nil {
-				t.Fatalf("%s cut %d: %v", kind, cut, err)
+				t.Fatalf("cut %d %s: %v", cut, trail.name, err)
 			}
-			restored := mk()
-			if err := restored.Restore(mid); err != nil {
-				t.Fatalf("%s cut %d: restore: %v", kind, cut, err)
-			}
-			for _, trail := range []struct {
-				name string
-				acc  TimedAccumulator
-			}{{"original-after-state", acc}, {"restored", restored}} {
-				for i := cut; i < len(ts); i++ {
-					trail.acc.ObserveAt(ts[i], xs[i])
-				}
-				got, err := trail.acc.State()
-				if err != nil {
-					t.Fatalf("%s cut %d %s: %v", kind, cut, trail.name, err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%s: %s at cut %d diverges from the uninterrupted run", kind, trail.name, cut)
-				}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s at cut %d diverges from the uninterrupted run", trail.name, cut)
 			}
 		}
-	}
-}
-
-// TestWindowedMergePurity pins that Merge never mutates its argument
-// and that repeating the same canonical fold is byte-identical.
-func TestWindowedMergePurity(t *testing.T) {
-	ts, xs := timedObs(4000, 11)
-	for kind, mk := range timedKinds {
-		const shards = 4
-		build := func() []TimedAccumulator {
-			accs := make([]TimedAccumulator, shards)
-			for i := range accs {
-				accs[i] = mk()
-			}
-			for i := range ts {
-				accs[i%shards].ObserveAt(ts[i], xs[i])
-			}
-			// Align every shard to the stream end so tumbling windows
-			// agree on the open window, as the pipeline flush would.
-			end := ts[len(ts)-1]
-			for _, a := range accs {
-				a.AdvanceTo(end)
-			}
-			return accs
-		}
-		fold := func(accs []TimedAccumulator) []byte {
-			dst := mk()
-			dst.AdvanceTo(ts[len(ts)-1])
-			for _, a := range accs {
-				if err := dst.Merge(a); err != nil {
-					t.Fatalf("%s: merge: %v", kind, err)
-				}
-			}
-			state, err := dst.State()
-			if err != nil {
-				t.Fatalf("%s: %v", kind, err)
-			}
-			return state
-		}
-		accs := build()
-		before := make([][]byte, shards)
-		for i, a := range accs {
-			s, err := a.State()
-			if err != nil {
-				t.Fatalf("%s: %v", kind, err)
-			}
-			before[i] = s
-		}
-		first := fold(accs)
-		for i, a := range accs {
-			s, err := a.State()
-			if err != nil {
-				t.Fatalf("%s: %v", kind, err)
-			}
-			if !bytes.Equal(s, before[i]) {
-				t.Fatalf("%s: Merge mutated source shard %d", kind, i)
-			}
-		}
-		if again := fold(accs); !bytes.Equal(first, again) {
-			t.Fatalf("%s: repeated canonical fold changed bytes", kind)
-		}
-		// Rebuilding the shards from scratch must fold to the same bytes
-		// — the fold depends only on the data, not on shard history.
-		if rebuilt := fold(build()); !bytes.Equal(first, rebuilt) {
-			t.Fatalf("%s: fold over rebuilt shards changed bytes", kind)
-		}
-	}
-}
-
-// TestWindowedMergePermutationInvariance is the stronger guarantee for
-// the integer-state kinds: any merge order (not just the canonical
-// one) is byte-identical, matching WindowCounter/Log2Hist.
-func TestWindowedMergePermutationInvariance(t *testing.T) {
-	ts, xs := timedObs(5000, 19)
-	kinds := map[string]func() TimedAccumulator{
-		"rollwin":       timedKinds["rollwin"],
-		"tumbling-hist": timedKinds["tumbling-hist"],
-	}
-	perms := [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {2, 0, 3, 1}, {1, 3, 0, 2}}
-	for kind, mk := range kinds {
-		accs := make([]TimedAccumulator, 4)
-		for i := range accs {
-			accs[i] = mk()
-		}
-		for i := range ts {
-			accs[i%4].ObserveAt(ts[i], xs[i])
-		}
-		end := ts[len(ts)-1]
-		for _, a := range accs {
-			a.AdvanceTo(end)
-		}
-		var first []byte
-		for _, p := range perms {
-			dst := mk()
-			dst.AdvanceTo(end)
-			for _, j := range p {
-				if err := dst.Merge(accs[j]); err != nil {
-					t.Fatalf("%s: merge: %v", kind, err)
-				}
-			}
-			state, err := dst.State()
-			if err != nil {
-				t.Fatalf("%s: %v", kind, err)
-			}
-			if first == nil {
-				first = state
-			} else if !bytes.Equal(first, state) {
-				t.Fatalf("%s: permutation %v produced different merged state", kind, p)
-			}
-		}
-	}
-}
-
-func TestRollingCounterEviction(t *testing.T) {
-	r := NewRollingCounter(1, 4)
-	for i := 0; i < 10; i++ {
-		r.Observe(float64(i) + 0.5) // one event per window 0..9
-	}
-	if r.Count() != 10 {
-		t.Fatalf("count = %d, want 10", r.Count())
-	}
-	if r.Retained() != 4 || r.Base() != 6 {
-		t.Fatalf("retained %d windows at base %d, want 4 at 6", r.Retained(), r.Base())
-	}
-	if r.EvictedEvents() != 6 {
-		t.Fatalf("evicted %d events, want 6", r.EvictedEvents())
-	}
-	if got := r.Rate(); got != 1 {
-		t.Fatalf("rate = %g, want 1", got)
-	}
-	// A stale event (older than the horizon) is counted, not binned.
-	r.Observe(0.5)
-	if r.Stale() != 1 || r.Count() != 11 {
-		t.Fatalf("stale = %d count = %d, want 1/11", r.Stale(), r.Count())
-	}
-	// A fast-forward far past the ring evicts everything.
-	r.AdvanceTo(1000)
-	if r.EvictedEvents() != 10 {
-		t.Fatalf("evicted %d events after fast-forward, want 10", r.EvictedEvents())
-	}
-	for _, c := range r.Counts() {
-		if c != 0 {
-			t.Fatalf("ring not empty after fast-forward: %v", r.Counts())
-		}
-	}
-}
-
-func TestRollingCounterDispersionPoissonVsBursty(t *testing.T) {
-	// Uniform one-per-window arrivals: dispersion 0. Bursty arrivals
-	// (all mass in a few windows): dispersion >> 1.
-	smooth := NewRollingCounter(1, 64)
-	bursty := NewRollingCounter(1, 64)
-	for i := 0; i < 64; i++ {
-		smooth.Observe(float64(i) + 0.25)
-		w := float64(i/16) * 16 // 4 bursts of 16
-		bursty.Observe(w + 0.25)
-	}
-	if d := smooth.Dispersion(); d != 0 {
-		t.Fatalf("smooth dispersion = %g, want 0", d)
-	}
-	if d := bursty.Dispersion(); d < 5 {
-		t.Fatalf("bursty dispersion = %g, want >= 5", d)
-	}
-}
-
-func TestTumblingOnClose(t *testing.T) {
-	var closes []int64
-	var counts []int64
-	u := NewTumbling(10, func() Accumulator { return NewMoments() })
-	u.OnClose = func(w int64, inner Accumulator) {
-		closes = append(closes, w)
-		counts = append(counts, inner.Count())
-	}
-	for i := 0; i < 35; i++ {
-		u.ObserveAt(float64(i), float64(i))
-	}
-	u.Flush()
-	if want := []int64{0, 1, 2, 3}; len(closes) != 4 ||
-		closes[0] != want[0] || closes[3] != want[3] {
-		t.Fatalf("closed windows %v, want %v", closes, want)
-	}
-	for i, c := range counts {
-		want := int64(10)
-		if i == 3 {
-			want = 5
-		}
-		if c != want {
-			t.Fatalf("window %d closed with %d observations, want %d", closes[i], c, want)
-		}
-	}
-	if u.Closed() != 4 || u.Count() != 35 {
-		t.Fatalf("closed=%d count=%d, want 4/35", u.Closed(), u.Count())
-	}
-	// A gap over several windows closes the open one exactly once.
-	closes = closes[:0]
-	u.ObserveAt(100, 1)
-	u.ObserveAt(250, 2)
-	if len(closes) != 1 || closes[0] != 10 {
-		t.Fatalf("gap close sequence %v, want [10]", closes)
-	}
-	// A late observation folds into the open window with accounting.
-	u.ObserveAt(40, 3)
-	if u.Late() != 1 || u.Inner().Count() != 2 {
-		t.Fatalf("late=%d inner count=%d, want 1/2", u.Late(), u.Inner().Count())
 	}
 }
 
@@ -337,77 +124,41 @@ func TestDecayedTracksRecentRegime(t *testing.T) {
 }
 
 func TestWindowedAdversarialInputs(t *testing.T) {
-	for kind, mk := range timedKinds {
-		a := mk()
-		a.ObserveAt(math.NaN(), math.NaN())
-		a.ObserveAt(-5, math.Inf(1))
-		a.ObserveAt(math.Inf(1), 1) // capped window index
-		a.ObserveAt(3, 2)
-		if a.Count() != 4 {
-			t.Fatalf("%s: count = %d, want 4", kind, a.Count())
-		}
-		state, err := a.State()
-		if err != nil {
-			t.Fatalf("%s: state after adversarial inputs: %v", kind, err)
-		}
-		b := mk()
-		if err := b.Restore(state); err != nil {
-			t.Fatalf("%s: restore after adversarial inputs: %v", kind, err)
-		}
-		got, err := b.State()
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if !bytes.Equal(state, got) {
-			t.Fatalf("%s: adversarial state does not round-trip", kind)
-		}
+	a := newTestDecayed()
+	a.ObserveAt(math.NaN(), math.NaN())
+	a.ObserveAt(-5, math.Inf(1))
+	a.ObserveAt(math.Inf(1), 1) // capped window index
+	a.ObserveAt(3, 2)
+	if a.Count() != 4 {
+		t.Fatalf("count = %d, want 4", a.Count())
+	}
+	state, err := a.State()
+	if err != nil {
+		t.Fatalf("state after adversarial inputs: %v", err)
+	}
+	b := newTestDecayed()
+	if err := b.Restore(state); err != nil {
+		t.Fatalf("restore after adversarial inputs: %v", err)
+	}
+	got, err := b.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(state, got) {
+		t.Fatal("adversarial state does not round-trip")
 	}
 }
 
 func TestWindowedRestoreRejectsCorruption(t *testing.T) {
 	cases := map[string]string{
-		"rollwin-sum":     `{"kind":"rollwin","v":1,"state":{"width":1,"keep":4,"started":true,"base":0,"ring":[5],"evicted_windows":0,"evicted_events":0,"stale":0,"early":0,"total":3}}`,
-		"rollwin-shape":   `{"kind":"rollwin","v":1,"state":{"width":-1,"keep":4,"ring":[],"total":0}}`,
-		"rollwin-over":    `{"kind":"rollwin","v":1,"state":{"width":1,"keep":1,"ring":[1,2],"total":3}}`,
-		"tumbling-width":  `{"kind":"tumbling","v":1,"state":{"width":0,"inner":{"kind":"moments","v":1,"state":{"n":0,"mean":0,"m2":0,"min":"+Inf","max":"-Inf"}}}}`,
+		"decayed-shape":   `{"kind":"decayed","v":1,"state":{"width":0,"half_life":8,"weight":0,"total":0,"buckets":[]}}`,
 		"decayed-weight":  `{"kind":"decayed","v":1,"state":{"width":1,"half_life":8,"weight":-1,"total":0,"buckets":[]}}`,
 		"decayed-bucket":  `{"kind":"decayed","v":1,"state":{"width":1,"half_life":8,"weight":1,"total":1,"buckets":[{"exp":0,"w":-4}]}}`,
 		"mismatched-kind": `{"kind":"moments","v":1,"state":{}}`,
 	}
-	mks := map[string]func() TimedAccumulator{
-		"rollwin":    timedKinds["rollwin"],
-		"tumbling":   timedKinds["tumbling-moments"],
-		"decayed":    timedKinds["decayed"],
-		"mismatched": timedKinds["rollwin"],
-	}
 	for name, raw := range cases {
-		var mk func() TimedAccumulator
-		for prefix, f := range mks {
-			if len(name) >= len(prefix) && name[:len(prefix)] == prefix {
-				mk = f
-			}
-		}
-		if err := mk().Restore([]byte(raw)); err == nil {
+		if err := newTestDecayed().Restore([]byte(raw)); err == nil {
 			t.Fatalf("%s: corrupted state accepted", name)
 		}
-	}
-}
-
-func TestWindowedMergeShapeMismatch(t *testing.T) {
-	if err := NewRollingCounter(1, 4).Merge(NewRollingCounter(2, 4)); err == nil {
-		t.Fatal("rolling width mismatch accepted")
-	}
-	if err := NewRollingCounter(1, 4).Merge(NewDecayed(1, 8)); err == nil {
-		t.Fatal("cross-kind merge accepted")
-	}
-	if err := NewDecayed(1, 8).Merge(NewDecayed(1, 16)); err == nil {
-		t.Fatal("decayed half-life mismatch accepted")
-	}
-	a := NewTumbling(1, func() Accumulator { return NewMoments() })
-	b := NewTumbling(1, func() Accumulator { return NewMoments() })
-	a.ObserveAt(0.5, 1)
-	b.ObserveAt(7.5, 1)
-	if err := a.Merge(b); err == nil {
-		t.Fatal("tumbling open-window mismatch accepted")
 	}
 }
