@@ -119,16 +119,14 @@ func observeConns(t *testing.T, conns []trace.Conn, shard int, cfg stream.Config
 	if err != nil {
 		t.Fatal(err)
 	}
-	var prev float64
-	first := true
-	for _, c := range conns {
-		o := stream.Obs{Time: c.Start, Value: float64(c.Bytes()), Duration: c.Duration}
-		if !first {
-			o.Gap, o.HasGap = c.Start-prev, true
+	obs := make([]stream.Obs, len(conns))
+	for i, c := range conns {
+		obs[i] = stream.Obs{Time: c.Start, Value: float64(c.Bytes()), Duration: c.Duration}
+		if i > 0 {
+			obs[i].Gap, obs[i].HasGap = c.Start-conns[i-1].Start, true
 		}
-		prev, first = c.Start, false
-		sk.Observe(o)
 	}
+	sk.ObserveBatch(obs)
 	return sk
 }
 

@@ -166,14 +166,18 @@ func streamCalMergeOrder(ctx context.Context) string {
 		}
 		shards[i] = s
 	}
+	batches := make([][]stream.Obs, len(shards))
 	prev := 0.0
 	for i := 0; i < 30000; i++ {
 		t := prev + rng.ExpFloat64()*2
-		shards[i%len(shards)].Observe(stream.Obs{
+		batches[i%len(shards)] = append(batches[i%len(shards)], stream.Obs{
 			Time: t, Value: math.Exp(rng.NormFloat64() * 3), Duration: rng.ExpFloat64() * 10,
 			Gap: t - prev, HasGap: i > 0,
 		})
 		prev = t
+	}
+	for i, b := range batches {
+		shards[i].ObserveBatch(b)
 	}
 	perms := [][]int{
 		{0, 1, 2, 3, 4, 5},

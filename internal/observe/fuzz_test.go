@@ -31,7 +31,7 @@ func FuzzObservatoryRestore(f *testing.F) {
 		f.Add(st)
 	}
 	f.Add([]byte(`{"v":1,"window":5,"cur":3}`))
-	f.Add([]byte(`{"v":2,"window":5,"cur":-9000000000000000000,"ring":[1,0,0,0,0,0,0,0],"ring_top":0}`))
+	f.Add([]byte(`{"v":3,"window":5,"cur":-9000000000000000000,"ring":[1,0,0,0,0,0,0,0],"ring_top":0}`))
 	f.Add([]byte(`not json`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		o := New(fuzzOptions())

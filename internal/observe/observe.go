@@ -762,8 +762,10 @@ func finite(v float64) float64 {
 }
 
 // stateVersion is obsState's format version. Restore rejects every
-// other version; states are not migrated.
-const stateVersion = 2
+// other version; states are not migrated. Version 3 carries the GK
+// and decayed sketch states without the per-sketch kind envelope of
+// version 2.
+const stateVersion = 3
 
 // obsState is the observatory's serialized form (DESIGN.md §14): the
 // count ring inline, the size sketches' states whole, detector states

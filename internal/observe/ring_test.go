@@ -3,6 +3,7 @@ package observe
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -316,10 +317,12 @@ func TestObservatoryRestoreRejectsInconsistentState(t *testing.T) {
 			t.Errorf("%s: rejected restore modified the observatory", name)
 		}
 	}
-	// A version 1 state is refused with a version error, not a
+	// Version 1 and 2 states are refused with a version error, not a
 	// field-decoding error.
-	err := New(testOptions(&evs)).Restore(editState(t, st, map[string]any{"v": 1}))
-	if err == nil || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("v1 state: got %v, want a version error", err)
+	for _, v := range []int{1, 2} {
+		err := New(testOptions(&evs)).Restore(editState(t, st, map[string]any{"v": v}))
+		if want := fmt.Sprintf("version %d (this build reads version 3 only)", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("v%d state: got %v, want a version error", v, err)
+		}
 	}
 }

@@ -36,8 +36,8 @@ func allocsPerRun(t *testing.T, runs int, f func()) float64 {
 // TestAllocObserveMany: a warm ObserveMany must not allocate at all
 // for the fixed-footprint accumulators, and must stay within a small
 // amortized budget for the growing ones (GK rebuilds its tuple list
-// from pooled scratch; the window/aggvar counters extend their bin
-// vectors as the horizon advances).
+// from pooled scratch; the growing count series extends its bin
+// vector as the horizon advances).
 func TestAllocObserveMany(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	xs := make([]float64, 1024)
@@ -45,28 +45,25 @@ func TestAllocObserveMany(t *testing.T) {
 		xs[i] = rng.ExpFloat64() * 50
 	}
 	budgets := map[string]float64{
-		momentsKind:   0,
-		reservoirKind: 0,
-		log2Kind:      0, // map writes to existing buckets
-		windowKind:    0, // bins preallocated by the warmup below
-		aggVarKind:    0,
-		gkKind:        2, // one tuple-array grow + one compress append, amortized
+		"moments":       0,
+		"reservoir":     0,
+		"log2hist":      0, // map writes to existing buckets
+		"aggvar":        0, // bins preallocated by the warmup below
+		"aggvar-pinned": 0,
+		"gk":            2, // one tuple-array grow + one compress append, amortized
 	}
-	for _, kind := range fuzzKinds {
-		acc, err := New(kind)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, kind := range accKinds {
+		acc := kind.fresh()
 		acc.ObserveMany(xs) // warm: grow buffers, populate buckets
 		got := allocsPerRun(t, 50, func() { acc.ObserveMany(xs) })
-		if budget := budgets[kind]; got > budget {
-			t.Errorf("%s: ObserveMany allocates %.1f per 1024-obs batch, budget %.0f", kind, got, budget)
+		if budget := budgets[kind.name]; got > budget {
+			t.Errorf("%s: ObserveMany allocates %.1f per 1024-obs batch, budget %.0f", kind.name, got, budget)
 		}
 	}
 }
 
 // TestAllocSketchObserveBatch: the full composite sketch — every
-// dimension, arrivals, aggvar — must stay within a handful of
+// dimension and the count series — must stay within a handful of
 // amortized allocations per warm batch (GK growth plus scratch
 // columns extending).
 func TestAllocSketchObserveBatch(t *testing.T) {

@@ -11,9 +11,9 @@ import (
 )
 
 // accState serializes an accumulator, failing the test on error.
-func accState(t *testing.T, a Accumulator) []byte {
+func accState(t *testing.T, a testAcc) []byte {
 	t.Helper()
-	s, err := a.State()
+	s, err := a.encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,10 +21,11 @@ func accState(t *testing.T, a Accumulator) []byte {
 }
 
 // TestObserveManyMatchesObserveLoop is the batch-path contract for
-// every accumulator: ObserveMany over any partition of a sequence
-// must leave byte-identical serialized state to an element-at-a-time
-// Observe loop — not approximately equal, byte-identical, because the
-// pipeline's canonical-merge determinism rests on it.
+// every accumulator: ObserveMany over any partition of a sequence —
+// one element at a time included — must leave byte-identical
+// serialized state to one call over the whole sequence. Not
+// approximately equal, byte-identical, because the pipeline's
+// canonical-merge determinism rests on it.
 func TestObserveManyMatchesObserveLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	xs := make([]float64, 4096)
@@ -37,8 +38,12 @@ func TestObserveManyMatchesObserveLoop(t *testing.T) {
 	// Partitions chosen to straddle every internal boundary: GK's
 	// buffer flush (bufSize splits), single-element batches, one giant
 	// batch, empty batches mixed in, and random cuts.
+	ones := make([]int, len(xs))
+	for i := range ones {
+		ones[i] = 1
+	}
 	partitions := [][]int{
-		{len(xs)},
+		ones,
 		{1, 1, 1, len(xs) - 3},
 		{0, 5, 0, len(xs) - 5, 0},
 		{7, 64, 128, 512, len(xs) - 711},
@@ -54,20 +59,12 @@ func TestObserveManyMatchesObserveLoop(t *testing.T) {
 	}
 	partitions = append(partitions, cuts[1:])
 
-	for _, kind := range fuzzKinds {
-		ref, err := New(kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, x := range xs {
-			ref.Observe(x)
-		}
+	for _, kind := range accKinds {
+		ref := kind.fresh()
+		ref.ObserveMany(xs)
 		want := accState(t, ref)
 		for pi, part := range partitions {
-			got, err := New(kind)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := kind.fresh()
 			pos := 0
 			for _, sz := range part {
 				got.ObserveMany(xs[pos : pos+sz])
@@ -77,16 +74,17 @@ func TestObserveManyMatchesObserveLoop(t *testing.T) {
 				t.Fatalf("partition %d covers %d of %d elements", pi, pos, len(xs))
 			}
 			if g := accState(t, got); !bytes.Equal(g, want) {
-				t.Errorf("%s: ObserveMany partition %d diverges from Observe loop:\n got %s\nwant %s", kind, pi, g, want)
+				t.Errorf("%s: ObserveMany partition %d diverges from one whole batch:\n got %s\nwant %s", kind.name, pi, g, want)
 			}
 		}
 	}
 }
 
 // TestSketchObserveBatchMatchesObserve: the columnar batch fold over
-// a full Sketch (all dimensions, arrivals, aggvar) must be
-// byte-identical to observing each record individually, for both
-// trace kinds and any batch partition.
+// a full Sketch (all dimensions and the count series) must leave
+// byte-identical state however the records are cut into batches —
+// one record at a time, random cuts, or one whole batch — for both
+// trace kinds.
 func TestSketchObserveBatchMatchesObserve(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	obs := make([]Obs, 3000)
@@ -104,34 +102,34 @@ func TestSketchObserveBatchMatchesObserve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, o := range obs {
-			ref.Observe(o)
-		}
+		ref.ObserveBatch(obs)
 		want, err := ref.State()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := NewSketch(kind, 2, Config{Seed: 11})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pos := 0; pos < len(obs); {
-			sz := 1 + rng.Intn(400)
-			if pos+sz > len(obs) {
-				sz = len(obs) - pos
+		for _, maxBatch := range []int{1, 400} {
+			got, err := NewSketch(kind, 2, Config{Seed: 11})
+			if err != nil {
+				t.Fatal(err)
 			}
-			got.ObserveBatch(obs[pos : pos+sz])
-			pos += sz
-		}
-		g, err := got.State()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(g, want) {
-			t.Errorf("%s sketch: ObserveBatch diverges from Observe loop", kind)
-		}
-		if got.Records() != ref.Records() {
-			t.Errorf("%s sketch: batch records %d, want %d", kind, got.Records(), ref.Records())
+			for pos := 0; pos < len(obs); {
+				sz := 1 + rng.Intn(maxBatch)
+				if pos+sz > len(obs) {
+					sz = len(obs) - pos
+				}
+				got.ObserveBatch(obs[pos : pos+sz])
+				pos += sz
+			}
+			g, err := got.State()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(g, want) {
+				t.Errorf("%s sketch: batches of up to %d diverge from one whole batch", kind, maxBatch)
+			}
+			if got.Records() != ref.Records() {
+				t.Errorf("%s sketch: batch records %d, want %d", kind, got.Records(), ref.Records())
+			}
 		}
 	}
 }
@@ -140,7 +138,7 @@ func TestSketchObserveBatchMatchesObserve(t *testing.T) {
 // plain single-threaded code: per ingest call, records are derived to
 // observations (gap chain resetting at call boundaries), cut into
 // ChunkSize chunks, chunk i dealt to shard i mod Shards, observed
-// one at a time, and finally merged in ascending shard order. The
+// one record per batch, and finally merged in ascending shard order. The
 // concurrent pooled pipeline must match this byte for byte.
 func referenceMerged(t *testing.T, popts PipelineOptions, calls [][]trace.Conn) *Sketch {
 	t.Helper()
@@ -167,7 +165,7 @@ func referenceMerged(t *testing.T, popts PipelineOptions, calls [][]trace.Conn) 
 				if i > 0 {
 					o.Gap, o.HasGap = c.Start-conns[i-1].Start, true
 				}
-				sh.Observe(o)
+				sh.ObserveBatch([]Obs{o})
 			}
 			next++
 		}

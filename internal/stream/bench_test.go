@@ -187,41 +187,13 @@ func BenchmarkBatchStats(b *testing.B) {
 	}
 }
 
-// BenchmarkAccumulatorObserve isolates per-observation cost of each
-// accumulator kind.
-func BenchmarkAccumulatorObserve(b *testing.B) {
-	for _, kind := range fuzzKinds {
-		b.Run(kind, func(b *testing.B) {
-			acc, err := New(kind)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(3))
-			xs := make([]float64, 4096)
-			for i := range xs {
-				xs[i] = rng.Float64() * 1000
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				acc.Observe(xs[i&4095])
-			}
-		})
-	}
-}
-
-// BenchmarkAccumulatorObserveMany measures the batch observe path:
+// BenchmarkAccumulatorObserveMany measures the observe path:
 // per-observation cost when records arrive 512 at a time, the
-// pipeline's actual calling convention. The delta against
-// BenchmarkAccumulatorObserve is the dispatch overhead the batch
-// interface amortizes.
+// pipeline's actual calling convention.
 func BenchmarkAccumulatorObserveMany(b *testing.B) {
-	for _, kind := range fuzzKinds {
-		b.Run(kind, func(b *testing.B) {
-			acc, err := New(kind)
-			if err != nil {
-				b.Fatal(err)
-			}
+	for _, kind := range accKinds {
+		b.Run(kind.name, func(b *testing.B) {
+			acc := kind.fresh()
 			rng := rand.New(rand.NewSource(3))
 			xs := make([]float64, 4096)
 			for i := range xs {

@@ -15,23 +15,13 @@ import (
 // periodic upload, a monitor peek) never changes the bytes a sketch
 // eventually produces.
 
-// continuable builds each accumulator kind fresh.
-var continuable = map[string]func() Accumulator{
-	"moments":   func() Accumulator { return NewMoments() },
-	"gk":        func() Accumulator { return NewGK(0.005) },
-	"hist":      func() Accumulator { return NewLog2Hist() },
-	"reservoir": func() Accumulator { return NewReservoir(64, 99) },
-	"window":    func() Accumulator { return NewWindowCounter(1) },
-	"aggvar":    func() Accumulator { return NewAggVar(1, 0) },
-}
-
 func contObs(n int) []float64 {
 	rng := rand.New(rand.NewSource(7))
 	xs := make([]float64, n)
 	t := 0.0
 	for i := range xs {
 		t += rng.ExpFloat64()
-		xs[i] = t // monotone times work for window/aggvar, generic for the rest
+		xs[i] = t // monotone times work for aggvar, generic for the rest
 	}
 	return xs
 }
@@ -39,37 +29,32 @@ func contObs(n int) []float64 {
 func TestAccumulatorContinuationExact(t *testing.T) {
 	xs := contObs(3000)
 	cuts := []int{0, 1, 17, 64, 99, 100, 512, 1500, 2999, 3000}
-	for kind, mk := range continuable {
+	for _, k := range accKinds {
+		kind, mk := k.name, k.fresh
 		straight := mk()
-		for _, x := range xs {
-			straight.Observe(x)
-		}
-		want, err := straight.State()
+		straight.ObserveMany(xs)
+		want, err := straight.encode()
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
 		for _, cut := range cuts {
 			acc := mk()
-			for _, x := range xs[:cut] {
-				acc.Observe(x)
-			}
-			mid, err := acc.State()
+			acc.ObserveMany(xs[:cut])
+			mid, err := acc.encode()
 			if err != nil {
 				t.Fatalf("%s cut %d: %v", kind, cut, err)
 			}
 			// The capture must not disturb the original's continuation.
 			restored := mk()
-			if err := restored.Restore(mid); err != nil {
+			if err := restored.decode(mid); err != nil {
 				t.Fatalf("%s cut %d: restore: %v", kind, cut, err)
 			}
 			for _, trail := range []struct {
 				name string
-				acc  Accumulator
+				acc  testAcc
 			}{{"original-after-state", acc}, {"restored", restored}} {
-				for _, x := range xs[cut:] {
-					trail.acc.Observe(x)
-				}
-				got, err := trail.acc.State()
+				trail.acc.ObserveMany(xs[cut:])
+				got, err := trail.acc.encode()
 				if err != nil {
 					t.Fatalf("%s cut %d %s: %v", kind, cut, trail.name, err)
 				}

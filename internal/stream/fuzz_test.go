@@ -2,105 +2,132 @@ package stream
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// fuzzKinds enumerates every accumulator kind for table-driven fuzzing.
-var fuzzKinds = []string{momentsKind, gkKind, reservoirKind, log2Kind, windowKind, aggVarKind}
-
-// seedStates builds one valid serialized state per kind for the fuzz
-// corpus: a populated sketch including non-finite observations.
+// seedStates builds valid serialized sketch states for the fuzz
+// corpus: populated conn and packet sketches including non-finite
+// observations, both also with a pinned horizon, and an empty one.
 func seedStates(t interface{ Fatal(...any) }) [][]byte {
 	var out [][]byte
-	for _, kind := range fuzzKinds {
-		acc, err := New(kind)
+	for _, tc := range []struct {
+		kind string
+		cfg  Config
+	}{
+		{ConnSketch, Config{Seed: 7}},
+		{PacketSketch, Config{Seed: 7, WindowWidth: 0.5}},
+		{ConnSketch, Config{Seed: 7, Horizon: 4}},
+		{PacketSketch, Config{Seed: 7, Horizon: 1}},
+	} {
+		s, err := NewSketch(tc.kind, 1, tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(7))
-		for i := 0; i < 500; i++ {
-			acc.Observe(rng.Float64() * 50)
+		// A few records over about a second keep the seeds to a few KB:
+		// the fuzzer minimizes every new interesting input, for up to a
+		// minute each on a 15 KB state.
+		obs := make([]Obs, 16)
+		tm := 0.0
+		for i := range obs {
+			gap := rng.ExpFloat64() * 0.05
+			tm += gap
+			obs[i] = Obs{Time: tm, Value: rng.Float64() * 50, Duration: rng.ExpFloat64(), Gap: gap, HasGap: i > 0}
 		}
-		acc.Observe(math.Inf(1))
-		acc.Observe(math.NaN())
-		state, err := acc.State()
+		obs[3].Value, obs[4].Value, obs[5].Time = math.Inf(1), math.NaN(), math.NaN()
+		s.ObserveBatch(obs)
+		state, err := s.State()
 		if err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, state)
 	}
-	return out
+	empty, err := NewSketch(ConnSketch, 0, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := empty.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, state)
 }
 
-// FuzzRestore: arbitrary bytes must never panic any Restore, and any
-// bytes a Restore accepts must re-serialize canonically — Restore
-// followed by State, then Restore of THAT state, must reproduce the
-// state byte-for-byte.
+// FuzzRestore fuzzes RestoreSketch, the decoder of coordinator uploads
+// and worker checkpoints. Arbitrary bytes must never panic it; any
+// bytes it accepts must re-serialize canonically (RestoreSketch then
+// State, then RestoreSketch of THAT state, reproduces the state
+// byte-for-byte); and the restored sketch must survive further
+// ingest and a merge with a fresh sketch of its kind.
 func FuzzRestore(f *testing.F) {
 	for _, s := range seedStates(f) {
 		f.Add(s)
 	}
-	f.Add([]byte(`{"kind":"moments","state":{"n":-1}}`))
-	f.Add([]byte(`{"kind":"gk","state":{"eps":2,"n":0,"tuples":null}}`))
-	f.Add([]byte(`{"kind":"window","state":{"width":0}}`))
+	f.Add([]byte(`{"v":2,"trace_kind":"conn","records":9999,"window":1,"dims":{},"series":{"width":1}}`))
+	f.Add([]byte(`{"v":2,"trace_kind":"packet","window":1,"series":{"horizon":10,"width":1,"counts":[],"total":0}}`))
+	f.Add([]byte(`{"v":2,"trace_kind":"conn","window":1,"series":{"width":0.3}}`))
+	f.Add([]byte(`{"trace_kind":"conn","arrivals":{"kind":"window","state":{"width":0}}}`))
 	f.Add([]byte(`not json at all`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var env envelope
-		if json.Unmarshal(data, &env) != nil {
-			env.Kind = "" // still exercise every kind's error path below
+		sk, err := RestoreSketch(data)
+		if err != nil {
+			return // rejected, as long as it didn't panic
 		}
-		for _, kind := range fuzzKinds {
-			acc, err := New(kind)
-			if err != nil {
-				t.Fatal(err)
+		s1, err := sk.State()
+		if err != nil {
+			t.Fatalf("restored sketch does not re-serialize: %v", err)
+		}
+		back, err := RestoreSketch(s1)
+		if err != nil {
+			t.Fatalf("canonical state rejected: %v", err)
+		}
+		s2, err := back.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(s1, s2) {
+			t.Fatalf("state round-trip not byte-identical:\n%s\n%s", s1, s2)
+		}
+
+		fresh, err := NewSketch(sk.TraceKind(), sk.Shard(), Config{
+			WindowWidth: sk.window, AggBinWidth: sk.aggVar.BinWidth(), Horizon: sk.aggVar.horizon,
+		})
+		if err != nil {
+			t.Fatalf("restored sketch's config rejected: %v", err)
+		}
+		if err := sk.Merge(fresh); err == nil {
+			// Folding an empty sketch in is a byte-level no-op.
+			if s3, _ := sk.State(); !bytes.Equal(s3, s1) {
+				t.Fatal("merging a fresh sketch changed the restored state")
 			}
-			if acc.Restore(data) != nil {
-				continue // rejected, as long as it didn't panic
-			}
-			if env.Kind != kind {
-				t.Fatalf("%s accepted state tagged %q", kind, env.Kind)
-			}
-			s1, err := acc.State()
-			if err != nil {
-				t.Fatalf("%s: restored state does not re-serialize: %v", kind, err)
-			}
-			back, _ := New(kind)
-			if err := back.Restore(s1); err != nil {
-				t.Fatalf("%s: canonical state rejected: %v", kind, err)
-			}
-			s2, err := back.State()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(s1, s2) {
-				t.Fatalf("%s: state round-trip not byte-identical:\n%s\n%s", kind, s1, s2)
-			}
-			if back.Count() != acc.Count() {
-				t.Fatalf("%s: count %d after round-trip, want %d", kind, back.Count(), acc.Count())
-			}
+		}
+		_ = fresh.Merge(back)
+		sk.ObserveBatch([]Obs{{Time: 0.5, Value: 3}, {Time: 1e300, Value: -1, Gap: 2, HasGap: true}})
+		_ = sk.Summarize()
+		if _, err := sk.State(); err != nil {
+			t.Fatalf("sketch does not serialize after ingest: %v", err)
 		}
 	})
 }
 
 // fuzzFill folds n deterministic observations into acc. Values stay
-// non-negative so every kind (window counters reject nothing, but
-// their "early" bucket semantics differ) exercises its main path, with
-// a sprinkling of negatives and zeros for the drop/non-positive paths.
-func fuzzFill(acc Accumulator, seed int64, n int) {
+// mostly non-negative so every kind exercises its main path, with a
+// sprinkling of negatives and zeros for the drop/non-positive paths.
+func fuzzFill(acc testAcc, seed int64, n int) {
 	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < n; i++ {
-		x := rng.Float64() * 100
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = rng.Float64() * 100
 		switch i % 17 {
 		case 3:
-			x = 0
+			xs[i] = 0
 		case 11:
-			x = -x
+			xs[i] = -xs[i]
 		}
-		acc.Observe(x)
 	}
+	acc.ObserveMany(xs)
 }
 
 // FuzzMerge: for every kind, merging empty is a byte-level no-op,
@@ -113,29 +140,25 @@ func FuzzMerge(f *testing.F) {
 	f.Add(int64(977), uint16(1), uint16(1))
 	f.Fuzz(func(t *testing.T, seed int64, rawA, rawB uint16) {
 		nA, nB := int(rawA)%2048, int(rawB)%2048
-		for _, kind := range fuzzKinds {
-			a, err := New(kind)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, _ := New(kind)
-			empty, _ := New(kind)
+		for _, k := range accKinds {
+			kind := k.name
+			a, b, empty := k.fresh(), k.fresh(), k.fresh()
 			fuzzFill(a, seed, nA)
 			fuzzFill(b, seed+1, nB)
 
-			before, err := a.State()
+			before, err := a.encode()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := a.Merge(empty); err != nil {
+			if err := a.mergeAcc(empty); err != nil {
 				t.Fatalf("%s: merge empty: %v", kind, err)
 			}
-			after, _ := a.State()
+			after, _ := a.encode()
 			if !bytes.Equal(before, after) {
 				t.Fatalf("%s: merging an empty sketch changed state", kind)
 			}
 
-			if err := a.Merge(b); err != nil {
+			if err := a.mergeAcc(b); err != nil {
 				t.Fatalf("%s: merge disjoint: %v", kind, err)
 			}
 			if got, want := a.Count(), int64(nA+nB); got != want {
@@ -145,22 +168,22 @@ func FuzzMerge(f *testing.F) {
 				t.Fatalf("%s: merge mutated its argument", kind)
 			}
 
-			if err := a.Merge(a); err != nil {
+			if err := a.mergeAcc(a); err != nil {
 				t.Fatalf("%s: self-merge: %v", kind, err)
 			}
 			if got, want := a.Count(), int64(2*(nA+nB)); got != want {
 				t.Fatalf("%s: self-merged count %d, want %d", kind, got, want)
 			}
 
-			s1, err := a.State()
+			s1, err := a.encode()
 			if err != nil {
 				t.Fatalf("%s: merged state does not serialize: %v", kind, err)
 			}
-			back, _ := New(kind)
-			if err := back.Restore(s1); err != nil {
+			back := k.fresh()
+			if err := back.decode(s1); err != nil {
 				t.Fatalf("%s: merged state rejected on restore: %v", kind, err)
 			}
-			s2, _ := back.State()
+			s2, _ := back.encode()
 			if !bytes.Equal(s1, s2) {
 				t.Fatalf("%s: merged state round-trip not byte-identical", kind)
 			}

@@ -1,12 +1,11 @@
 package stream
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
 )
-
-const gkKind = "gk"
 
 // DefaultEpsilon is the default rank-error bound for GK sketches:
 // quantile estimates are within ±0.5% of the true rank.
@@ -66,16 +65,14 @@ func NewGK(eps float64) *GK {
 	return g
 }
 
-// Kind implements Accumulator.
-func (g *GK) Kind() string { return gkKind }
-
 // Count returns the number of observations.
 func (g *GK) Count() int64 { return g.n + int64(len(g.buf)) }
 
 // Epsilon returns the sketch's single-shard rank-error bound.
 func (g *GK) Epsilon() float64 { return g.eps }
 
-// Observe folds one observation in.
+// Observe folds one observation in: the per-record path of the
+// observatory, which replaces the summary at every window close.
 func (g *GK) Observe(x float64) {
 	g.buf = append(g.buf, x)
 	if len(g.buf) >= g.bufSize {
@@ -86,9 +83,9 @@ func (g *GK) Observe(x float64) {
 // ObserveMany folds a batch in through the same flush boundaries the
 // per-observation path hits: the buffer fills to exactly bufSize
 // before each flush, so the buffered contents at every flush — and
-// therefore the summary's state — are byte-identical to an Observe
-// loop. Each flush is one sorted-batch insert (sort the buffer, one
-// merge pass against the tuple list, compress).
+// therefore the summary's state — do not depend on the batch
+// boundaries. Each flush is one sorted-batch insert (sort the buffer,
+// one merge pass against the tuple list, compress).
 func (g *GK) ObserveMany(xs []float64) {
 	for len(xs) > 0 {
 		room := g.bufSize - len(g.buf)
@@ -211,11 +208,7 @@ func (g *GK) Quantile(p float64) float64 {
 
 // Merge combines another GK summary. The receiver's ε must equal the
 // other's; the merged guarantee weakens to 2ε (see the type comment).
-func (g *GK) Merge(other Accumulator) error {
-	o, ok := other.(*GK)
-	if !ok {
-		return kindError(gkKind, other)
-	}
+func (g *GK) Merge(o *GK) error {
 	if o.eps != g.eps {
 		return fmt.Errorf("stream: merging gk sketches with different eps (%g vs %g)", o.eps, g.eps)
 	}
@@ -282,8 +275,20 @@ type gkState struct {
 	Buf    []jsonF64 `json:"buf,omitempty"`
 }
 
-// State implements Accumulator. It does not modify the summary.
-func (g *GK) State() ([]byte, error) {
+// State serializes the summary deterministically as JSON. It does
+// not modify the summary.
+func (g *GK) State() ([]byte, error) { return json.Marshal(g.state()) }
+
+// Restore replaces the summary from State output.
+func (g *GK) Restore(data []byte) error {
+	st, err := decodeState[gkState]("gk", data)
+	if err != nil {
+		return err
+	}
+	return g.restore(st)
+}
+
+func (g *GK) state() gkState {
 	st := gkState{Eps: g.eps, N: g.n, Tuples: g.tuples}
 	if len(g.buf) > 0 {
 		st.Buf = make([]jsonF64, len(g.buf))
@@ -291,15 +296,10 @@ func (g *GK) State() ([]byte, error) {
 			st.Buf[i] = jsonF64(v)
 		}
 	}
-	return marshalState(gkKind, st)
+	return st
 }
 
-// Restore implements Accumulator.
-func (g *GK) Restore(data []byte) error {
-	var st gkState
-	if err := unmarshalState(gkKind, data, &st); err != nil {
-		return err
-	}
+func (g *GK) restore(st gkState) error {
 	if !(st.Eps > 0 && st.Eps < 1) {
 		return fmt.Errorf("stream: gk state has invalid eps %g", st.Eps)
 	}

@@ -6,8 +6,6 @@ import (
 	"sort"
 )
 
-const log2Kind = "log2hist"
-
 // Log2Hist bins positive observations into logarithmic buckets
 // [2^k, 2^(k+1)) keyed by the integer exponent k — the streaming
 // counterpart of the log-spaced stats.NewLogHistogram views behind
@@ -28,9 +26,6 @@ type Log2Hist struct {
 // NewLog2Hist returns an empty histogram.
 func NewLog2Hist() *Log2Hist { return &Log2Hist{counts: make(map[int]int64)} }
 
-// Kind implements Accumulator.
-func (h *Log2Hist) Kind() string { return log2Kind }
-
 // Count returns the number of observations, including non-positive
 // ones.
 func (h *Log2Hist) Count() int64 { return h.total }
@@ -42,18 +37,7 @@ func (h *Log2Hist) NonPositive() int64 { return h.nonPos }
 // k such that 2^k ≤ x < 2^(k+1).
 func Exponent(x float64) int { return math.Ilogb(x) }
 
-// Observe folds one observation in.
-func (h *Log2Hist) Observe(x float64) {
-	h.total++
-	if !(x > 0) || math.IsInf(x, 1) {
-		h.nonPos++
-		return
-	}
-	h.counts[Exponent(x)]++
-}
-
-// ObserveMany folds a batch in — integer bucket adds, so the loop is
-// trivially identical to repeated Observe.
+// ObserveMany folds a batch in — exact integer bucket adds.
 func (h *Log2Hist) ObserveMany(xs []float64) {
 	for _, x := range xs {
 		h.total++
@@ -103,11 +87,7 @@ func (h *Log2Hist) CDFBelow(k int) float64 {
 }
 
 // Merge adds another histogram's buckets — exact and commutative.
-func (h *Log2Hist) Merge(other Accumulator) error {
-	o, ok := other.(*Log2Hist)
-	if !ok {
-		return kindError(log2Kind, other)
-	}
+func (h *Log2Hist) Merge(o *Log2Hist) error {
 	if o == h {
 		h.total *= 2
 		h.nonPos *= 2
@@ -132,17 +112,11 @@ type log2State struct {
 	Buckets []Bucket `json:"buckets"`
 }
 
-// State implements Accumulator.
-func (h *Log2Hist) State() ([]byte, error) {
-	return marshalState(log2Kind, log2State{NonPos: h.nonPos, Total: h.total, Buckets: h.Buckets()})
+func (h *Log2Hist) state() log2State {
+	return log2State{NonPos: h.nonPos, Total: h.total, Buckets: h.Buckets()}
 }
 
-// Restore implements Accumulator.
-func (h *Log2Hist) Restore(data []byte) error {
-	var st log2State
-	if err := unmarshalState(log2Kind, data, &st); err != nil {
-		return err
-	}
+func (h *Log2Hist) restore(st log2State) error {
 	counts := make(map[int]int64, len(st.Buckets))
 	var sum int64
 	for _, b := range st.Buckets {

@@ -1,8 +1,10 @@
 package stream
 
-import "math"
-
-const momentsKind = "moments"
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+)
 
 // Moments tracks count, mean, variance, min and max of a stream in
 // O(1) memory using Welford's online update, with Chan et al.'s
@@ -24,29 +26,13 @@ type Moments struct {
 // NewMoments returns an empty moments accumulator.
 func NewMoments() *Moments { return &Moments{min: math.Inf(1), max: math.Inf(-1)} }
 
-// Kind implements Accumulator.
-func (m *Moments) Kind() string { return momentsKind }
-
 // Count returns the number of observations.
 func (m *Moments) Count() int64 { return m.n }
 
-// Observe folds one observation in (Welford's update).
-func (m *Moments) Observe(x float64) {
-	m.n++
-	d := x - m.mean
-	m.mean += d / float64(m.n)
-	m.m2 += d * (x - m.mean)
-	if x < m.min {
-		m.min = x
-	}
-	if x > m.max {
-		m.max = x
-	}
-}
-
-// ObserveMany folds a batch in. The running state lives in locals for
-// the duration of the loop; the arithmetic (and so the resulting
-// bits) is exactly Observe's.
+// ObserveMany folds a batch in (Welford's update). The running state
+// lives in locals for the duration of the loop, so the resulting bits
+// depend only on the observation sequence, not on the batch
+// boundaries.
 func (m *Moments) ObserveMany(xs []float64) {
 	n, mean, m2, lo, hi := m.n, m.mean, m.m2, m.min, m.max
 	for _, x := range xs {
@@ -68,11 +54,7 @@ func (m *Moments) ObserveMany(xs []float64) {
 // combination: with nA,nB observations, δ = meanB−meanA,
 //
 //	mean = meanA + δ·nB/n,  M2 = M2A + M2B + δ²·nA·nB/n.
-func (m *Moments) Merge(other Accumulator) error {
-	o, ok := other.(*Moments)
-	if !ok {
-		return kindError(momentsKind, other)
-	}
+func (m *Moments) Merge(o *Moments) error {
 	if o.n == 0 {
 		return nil
 	}
@@ -142,18 +124,13 @@ type momentsState struct {
 	Max  jsonF64 `json:"max"`
 }
 
-// State implements Accumulator.
-func (m *Moments) State() ([]byte, error) {
-	return marshalState(momentsKind, momentsState{
-		N: m.n, Mean: jsonF64(m.mean), M2: jsonF64(m.m2), Min: jsonF64(m.min), Max: jsonF64(m.max),
-	})
+func (m *Moments) state() momentsState {
+	return momentsState{N: m.n, Mean: jsonF64(m.mean), M2: jsonF64(m.m2), Min: jsonF64(m.min), Max: jsonF64(m.max)}
 }
 
-// Restore implements Accumulator.
-func (m *Moments) Restore(data []byte) error {
-	var st momentsState
-	if err := unmarshalState(momentsKind, data, &st); err != nil {
-		return err
+func (m *Moments) restore(st momentsState) error {
+	if st.N < 0 {
+		return fmt.Errorf("stream: moments state claims %d observations", st.N)
 	}
 	*m = Moments{n: st.N, mean: float64(st.Mean), m2: float64(st.M2), min: float64(st.Min), max: float64(st.Max)}
 	return nil
@@ -174,7 +151,7 @@ func (f jsonF64) MarshalJSON() ([]byte, error) {
 	case math.IsNaN(v):
 		return []byte(`"NaN"`), nil
 	}
-	return jsonNumber(v), nil
+	return json.Marshal(v)
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -191,7 +168,7 @@ func (f *jsonF64) UnmarshalJSON(data []byte) error {
 		return nil
 	}
 	var v float64
-	if err := jsonUnmarshalFloat(data, &v); err != nil {
+	if err := json.Unmarshal(data, &v); err != nil {
 		return err
 	}
 	*f = jsonF64(v)

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -269,10 +270,14 @@ func TestMergeSketchesPermutationInvariance(t *testing.T) {
 		}
 		shards[i] = s
 	}
+	batches := make([][]Obs, len(shards))
 	tt := 0.0
 	for i := 0; i < 20000; i++ {
 		tt += rng.ExpFloat64() * 0.01
-		shards[i%5].Observe(Obs{Time: tt, Value: float64(1 + rng.Intn(1460)), Gap: rng.ExpFloat64(), HasGap: i > 0})
+		batches[i%5] = append(batches[i%5], Obs{Time: tt, Value: float64(1 + rng.Intn(1460)), Gap: rng.ExpFloat64(), HasGap: i > 0})
+	}
+	for i, b := range batches {
+		shards[i].ObserveBatch(b)
 	}
 	perms := [][]int{{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}, {2, 0, 4, 1, 3}, {1, 4, 0, 3, 2}}
 	var first []byte
@@ -306,9 +311,11 @@ func TestSketchRoundTripAndMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 1000; i++ {
-		s.Observe(Obs{Time: float64(i), Value: float64(i * 7), Duration: 1, Gap: 1, HasGap: i > 0})
+	obs := make([]Obs, 1000)
+	for i := range obs {
+		obs[i] = Obs{Time: float64(i), Value: float64(i * 7), Duration: 1, Gap: 1, HasGap: i > 0}
 	}
+	s.ObserveBatch(obs)
 	state, err := s.State()
 	if err != nil {
 		t.Fatal(err)
@@ -354,10 +361,96 @@ func TestSketchSummaryFinite(t *testing.T) {
 		if sum.Records != 0 {
 			t.Fatal("empty summary has records")
 		}
-		s.Observe(Obs{Time: 1, Value: 10, Duration: 2})
+		s.ObserveBatch([]Obs{{Time: 1, Value: 10, Duration: 2}})
 		sum = s.Summarize()
 		if sum.Records != 1 {
 			t.Fatalf("records %d", sum.Records)
+		}
+	}
+}
+
+// TestRestoreSketchRejectsOtherVersions: the state format is version
+// 2; a state without a version (the enveloped format before it) or
+// with any other version is rejected, not migrated.
+func TestRestoreSketchRejectsOtherVersions(t *testing.T) {
+	s, err := NewSketch(ConnSketch, 0, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := s.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(state), `{"v":2,`) {
+		t.Fatalf("state does not lead with its version: %.40s", state)
+	}
+	for v, data := range map[int]string{
+		0: `{"trace_kind":"conn","shard":0,"records":0,"dims":{},"arrivals":{"kind":"window","state":{}}}`,
+		1: strings.Replace(string(state), `"v":2`, `"v":1`, 1),
+		3: strings.Replace(string(state), `"v":2`, `"v":3`, 1),
+	} {
+		_, err := RestoreSketch([]byte(data))
+		want := fmt.Sprintf("unsupported sketch state version %d (this build reads version 2 only)", v)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("version %d: got %v, want %q", v, err, want)
+		}
+	}
+}
+
+// TestRestoreSketchCrossFieldChecks: every accumulator of a restored
+// sketch must describe the same record stream. Each state here is
+// internally valid per accumulator but contradicts the others, the
+// forgery a corrupt upload or checkpoint would carry.
+func TestRestoreSketchCrossFieldChecks(t *testing.T) {
+	s, err := NewSketch(ConnSketch, 0, Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ObserveBatch([]Obs{{Time: 1, Value: 10, Duration: 2}, {Time: 2, Value: 20, Duration: 3, Gap: 1, HasGap: true}})
+	good, err := s.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreSketch(good); err != nil {
+		t.Fatalf("consistent state rejected: %v", err)
+	}
+	three, err := NewSketch(ConnSketch, 0, Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	three.ObserveBatch(make([]Obs, 3))
+	gap3 := three.Dim("bytes").state()
+	edit := func(f func(st *sketchState)) []byte {
+		var st sketchState
+		if err := json.Unmarshal(good, &st); err != nil {
+			t.Fatal(err)
+		}
+		f(&st)
+		data, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	dim := func(st *sketchState, name string, f func(d *dimState)) {
+		d := st.Dims[name]
+		f(&d)
+		st.Dims[name] = d
+	}
+	for name, data := range map[string][]byte{
+		"records 9999":       edit(func(st *sketchState) { st.Records = 9999 }),
+		"series total":       edit(func(st *sketchState) { st.Series.Total++; st.Series.Early++ }),
+		"bytes count":        edit(func(st *sketchState) { st.Records, st.Series.Total, st.Series.Early = 3, 3, 1 }),
+		"gap beyond records": edit(func(st *sketchState) { st.Dims["gap"] = gap3 }),
+		"moments vs gk":      edit(func(st *sketchState) { dim(st, "duration", func(d *dimState) { d.Moments.N = 1 }) }),
+		"hist vs moments":    edit(func(st *sketchState) { dim(st, "bytes", func(d *dimState) { d.Hist.Total++; d.Hist.NonPos++ }) }),
+		"sample vs moments": edit(func(st *sketchState) {
+			dim(st, "bytes", func(d *dimState) { d.Sample.N = 1; d.Sample.Sample = d.Sample.Sample[:1] })
+		}),
+		"window not multiple": edit(func(st *sketchState) { st.Window = 1.5 }),
+	} {
+		if _, err := RestoreSketch(data); err == nil {
+			t.Errorf("%s: contradictory state accepted", name)
 		}
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 )
 
-const reservoirKind = "reservoir"
-
 // DefaultReservoirSize is the default sample capacity.
 const DefaultReservoirSize = 1024
 
@@ -37,9 +35,6 @@ func NewReservoir(k int, seed int64) *Reservoir {
 	return &Reservoir{k: k, seed: seed, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Kind implements Accumulator.
-func (r *Reservoir) Kind() string { return reservoirKind }
-
 // Count returns the number of observations seen (not kept).
 func (r *Reservoir) Count() int64 { return r.n }
 
@@ -50,20 +45,9 @@ func (r *Reservoir) Cap() int { return r.k }
 // slice aliases internal state; callers must not modify it.
 func (r *Reservoir) Sample() []float64 { return r.sample }
 
-// Observe folds one observation in (Algorithm R).
-func (r *Reservoir) Observe(x float64) {
-	r.n++
-	if len(r.sample) < r.k {
-		r.sample = append(r.sample, x)
-		return
-	}
-	if j := r.rng.Int63n(r.n); j < int64(r.k) {
-		r.sample[j] = x
-	}
-}
-
-// ObserveMany folds a batch in, consuming exactly the RNG draws an
-// Observe loop would, so the resulting sample is byte-identical.
+// ObserveMany folds a batch in (Algorithm R): one RNG draw per
+// observation past the k-th, so the sample depends only on the seed
+// and the observation sequence, not on the batch boundaries.
 func (r *Reservoir) ObserveMany(xs []float64) {
 	i := 0
 	for ; i < len(xs) && len(r.sample) < r.k; i++ {
@@ -82,11 +66,7 @@ func (r *Reservoir) ObserveMany(xs []float64) {
 // the merged sample is drawn from parent A with probability nA/(nA+nB)
 // (without replacement within each parent), preserving uniformity
 // when both parents are uniform samples of disjoint streams.
-func (r *Reservoir) Merge(other Accumulator) error {
-	o, ok := other.(*Reservoir)
-	if !ok {
-		return kindError(reservoirKind, other)
-	}
+func (r *Reservoir) Merge(o *Reservoir) error {
 	if o.k != r.k {
 		return fmt.Errorf("stream: merging reservoirs with different capacities (%d vs %d)", o.k, r.k)
 	}
@@ -104,7 +84,7 @@ func (r *Reservoir) Merge(other Accumulator) error {
 	a := append([]float64(nil), r.sample...)
 	b := append([]float64(nil), o.sample...)
 	rng := rand.New(rand.NewSource(mergeSeed(r.seed, r.n, o.seed, o.n)))
-	merged := make([]float64, 0, r.k)
+	merged := make([]float64, 0, min(r.k, len(a)+len(b)))
 	nA, nB := r.n, o.n
 	for len(merged) < r.k && (len(a) > 0 || len(b) > 0) {
 		takeA := len(b) == 0
@@ -159,22 +139,16 @@ type reservoirState struct {
 	Sample []jsonF64 `json:"sample"`
 }
 
-// State implements Accumulator.
-func (r *Reservoir) State() ([]byte, error) {
+func (r *Reservoir) state() reservoirState {
 	sample := make([]jsonF64, len(r.sample))
 	for i, v := range r.sample {
 		sample[i] = jsonF64(v)
 	}
-	return marshalState(reservoirKind, reservoirState{K: r.k, Seed: r.seed, N: r.n, Sample: sample})
+	return reservoirState{K: r.k, Seed: r.seed, N: r.n, Sample: sample}
 }
 
-// Restore implements Accumulator.
-func (r *Reservoir) Restore(data []byte) error {
-	var st reservoirState
-	if err := unmarshalState(reservoirKind, data, &st); err != nil {
-		return err
-	}
-	if st.K < 1 || st.N < 0 || len(st.Sample) > st.K {
+func (r *Reservoir) restore(st reservoirState) error {
+	if st.K < 1 || st.N < 0 || int64(len(st.Sample)) != min(int64(st.K), st.N) {
 		return fmt.Errorf("stream: reservoir state k=%d n=%d holds %d samples", st.K, st.N, len(st.Sample))
 	}
 	sample := make([]float64, len(st.Sample))

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -27,8 +28,6 @@ import (
 // wall time, so a time-dilated replay produces the same state — and
 // therefore the same estimator and verdict sequence — at any dilation
 // factor. It has no Merge: the observatory runs on one ingest loop.
-
-const decayedKind = "decayed"
 
 // Decayed tracks exponentially time-decayed weighted moments and a
 // decayed log₂ histogram: an observation's weight is 1 at its own
@@ -208,7 +207,7 @@ type decayedState struct {
 
 // State serializes the sketch deterministically as JSON.
 func (d *Decayed) State() ([]byte, error) {
-	return marshalState(decayedKind, decayedState{
+	return json.Marshal(decayedState{
 		Width: d.width, HalfLife: d.halfLife, Cur: d.cur, Open: d.open,
 		Weight: jsonF64(d.weight), Mean: jsonF64(d.mean), M2: jsonF64(d.m2),
 		NonPos: jsonF64(d.nonPos), Total: d.total, Late: d.late, Buckets: d.Buckets(),
@@ -217,8 +216,8 @@ func (d *Decayed) State() ([]byte, error) {
 
 // Restore replaces the sketch's state from State output.
 func (d *Decayed) Restore(data []byte) error {
-	var st decayedState
-	if err := unmarshalState(decayedKind, data, &st); err != nil {
+	st, err := decodeState[decayedState]("decayed", data)
+	if err != nil {
 		return err
 	}
 	if !(st.Width > 0) || !(st.HalfLife > 0) {
