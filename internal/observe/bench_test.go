@@ -44,16 +44,51 @@ func BenchmarkObserveConn(b *testing.B) {
 	}
 }
 
-// BenchmarkWindowClose isolates the estimator recompute: one record
-// per window, so every observation forces a close (rate, dispersion,
-// lag-1, variance-time slope, Hill, quantiles, verdict, detectors).
-func BenchmarkWindowClose(b *testing.B) {
-	o := New(Options{})
-	w := o.Options().Window
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+// windowCloseCases are the window shapes the close benchmark and the
+// allocation budget drive; feed(o, i) observes window i's records, so
+// each call also closes window i−1.
+var windowCloseCases = []struct {
+	name string
+	feed func(o *Observatory, i int)
+}{
+	// One record per window: the bare estimator recompute (rate,
+	// dispersion, lag-1, variance-time slope, Hill, quantiles, verdict,
+	// detectors).
+	{"one-record", func(o *Observatory, i int) {
+		w := o.Options().Window
 		o.ObserveConn(trace.Conn{Start: (float64(i) + 0.5) * w, Proto: trace.WWW, BytesResp: int64(100 + i%1000)})
+	}},
+	// LBL-like windows: 4–11 records over eight protocols, sizes
+	// spread over 24 power-of-two exponents, and every 16th window a
+	// burst of 120 that flushes the GK buffer before the close does.
+	{"lbl-like", func(o *Observatory, i int) {
+		w := o.Options().Window
+		n := 4 + i%8
+		if i%16 == 0 {
+			n = 120
+		}
+		for k := 0; k < n; k++ {
+			o.ObserveConn(trace.Conn{
+				Start:     (float64(i) + (float64(k)+0.5)/float64(n)) * w,
+				Proto:     trace.Protocol(1 + (i+k)%8),
+				BytesResp: int64(1)<<((7*i+5*k)%24) + int64(k),
+			})
+		}
+	}},
+}
+
+// BenchmarkWindowClose is the per-window cost in each of
+// windowCloseCases: one close plus that window's records.
+func BenchmarkWindowClose(b *testing.B) {
+	for _, wc := range windowCloseCases {
+		b.Run(wc.name, func(b *testing.B) {
+			o := New(Options{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				wc.feed(o, i)
+			}
+		})
 	}
 }
 

@@ -312,7 +312,7 @@ func TestHillBinnedParetoRecovery(t *testing.T) {
 			x := math.Pow(rng.Float64(), -1/alpha)
 			d.sizes.ObserveAt(tm, x)
 		}
-		got, w := HillBinned(d.sizes.Buckets(), 0.1)
+		got, w := HillBinned(d.sizes.AppendBuckets(nil), 0.1)
 		if w <= 0 {
 			t.Fatalf("alpha=%g: no tail weight", alpha)
 		}
@@ -332,7 +332,7 @@ func TestHillBinnedDegenerate(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		d.sizes.ObserveAt(float64(i)*0.001, 5) // all in one bucket
 	}
-	if a, _ := HillBinned(d.sizes.Buckets(), 0.1); a != 0 {
+	if a, _ := HillBinned(d.sizes.AppendBuckets(nil), 0.1); a != 0 {
 		t.Fatalf("single-bucket sample produced alpha=%g, want 0 (unavailable)", a)
 	}
 }

@@ -254,6 +254,48 @@ func TestGKMergeEmptyAndSelf(t *testing.T) {
 	}
 }
 
+// TestGKFlushResetReuse is the observatory's per-window use of one
+// summary: Flush leaves every quantile bit-identical to the
+// non-mutating query, and a Reset summary serializes like a fresh one
+// and continues exactly as a fresh one fed the same observations.
+func TestGKFlushResetReuse(t *testing.T) {
+	g := NewGK(DefaultEpsilon)
+	ss := streams()
+	for w, xs := range [][]float64{ss["lognormal"], ss["uniform"][:37], {4}, ss["exponential"][:5000], ss["constant"]} {
+		fresh := NewGK(DefaultEpsilon)
+		for _, x := range xs {
+			g.Observe(x)
+			fresh.Observe(x)
+		}
+		if a, b := mustState(t, g), mustState(t, fresh); !bytes.Equal(a, b) {
+			t.Fatalf("window %d: reused summary state differs from a fresh one:\n%s\n%s", w, a, b)
+		}
+		var want []float64
+		for _, p := range quantileProbes {
+			want = append(want, g.Quantile(p))
+		}
+		g.Flush()
+		for i, p := range quantileProbes {
+			if got := g.Quantile(p); math.Float64bits(got) != math.Float64bits(want[i]) {
+				t.Fatalf("window %d: p=%g is %v after Flush, %v before", w, p, got, want[i])
+			}
+		}
+		g.Reset()
+		if a, b := mustState(t, g), mustState(t, NewGK(DefaultEpsilon)); !bytes.Equal(a, b) || g.Count() != 0 {
+			t.Fatalf("window %d: reset summary %s, fresh %s", w, a, b)
+		}
+	}
+}
+
+func mustState(t *testing.T, g *GK) []byte {
+	t.Helper()
+	st, err := g.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func TestReservoirDeterministicAndUniformCount(t *testing.T) {
 	xs := streams()["uniform"]
 	a, b := NewReservoir(100, 7), NewReservoir(100, 7)

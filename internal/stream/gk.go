@@ -72,7 +72,7 @@ func (g *GK) Count() int64 { return g.n + int64(len(g.buf)) }
 func (g *GK) Epsilon() float64 { return g.eps }
 
 // Observe folds one observation in: the per-record path of the
-// observatory, which replaces the summary at every window close.
+// observatory, which resets the summary at every window close.
 func (g *GK) Observe(x float64) {
 	g.buf = append(g.buf, x)
 	if len(g.buf) >= g.bufSize {
@@ -144,6 +144,20 @@ func (g *GK) flush() {
 	g.scratch = g.tuples[:0]
 	g.tuples = merged
 	g.compress()
+}
+
+// Flush folds the insertion buffer into the summary in place, so
+// the Quantile calls that follow need no throwaway clone. It moves
+// the summary's flush boundaries, so it suits a caller that discards
+// the summary afterwards (the observatory's window close, before
+// Reset); a sketch whose state must stay a pure function of its
+// observations is queried without it.
+func (g *GK) Flush() { g.flush() }
+
+// Reset empties the summary, leaving it equal to a fresh NewGK with
+// the same ε while keeping its arrays' capacity for reuse.
+func (g *GK) Reset() {
+	g.n, g.tuples, g.buf = 0, g.tuples[:0], g.buf[:0]
 }
 
 // compress merges adjacent tuples whose combined span stays within
@@ -289,7 +303,10 @@ func (g *GK) Restore(data []byte) error {
 }
 
 func (g *GK) state() gkState {
-	st := gkState{Eps: g.eps, N: g.n, Tuples: g.tuples}
+	st := gkState{Eps: g.eps, N: g.n}
+	if len(g.tuples) > 0 {
+		st.Tuples = g.tuples // an emptied summary serializes as a fresh one
+	}
 	if len(g.buf) > 0 {
 		st.Buf = make([]jsonF64, len(g.buf))
 		for i, v := range g.buf {

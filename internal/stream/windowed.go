@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Decayed is the observatory's time-windowed memory of record sizes.
@@ -16,7 +15,7 @@ import (
 // one cumulative estimate silently launders regime changes into fake
 // long-range dependence. The observatory (internal/observe) keeps its
 // own count ring for rate, dispersion, lag-1 and the variance-time
-// slope, and a plain GK summary it replaces at each window close for
+// slope, and a plain GK summary it resets at each window close for
 // the per-window quantiles; the one piece it takes from here is
 // Decayed: exponentially time-decayed moments plus a decayed log₂
 // histogram, the tail sample behind the rolling Hill estimator.
@@ -51,17 +50,26 @@ type Decayed struct {
 	mean   float64 // decayed weighted mean
 	m2     float64 // decayed weighted sum of squared deviations
 
-	buckets map[int]float64 // decayed log₂ bucket weights (positive x)
-	nonPos  float64         // decayed weight of x ≤ 0 / NaN
-	total   int64           // exact raw count
+	// buckets holds the decayed log₂ bucket weights (positive x) of
+	// exponents lo, lo+1, …: a weight of 0 marks an empty bucket, and
+	// both ends are occupied, so the slice spans exactly the occupied
+	// exponent range.
+	buckets []float64
+	lo      int
+	nonPos  float64 // decayed weight of x ≤ 0 / NaN
+	total   int64   // exact raw count
 	late    int64
 }
 
 // decayedFloor drops bucket weights below this after decay, bounding
-// the map at the buckets that still carry measurable mass. The
+// the histogram at the buckets that still carry measurable mass. The
 // threshold is a pure function of the observation sequence, so
 // dropping preserves determinism.
 const decayedFloor = 1e-9
+
+// minExp and maxExp bound Exponent over the finite positive float64s
+// (the smallest subnormal to the largest normal).
+const minExp, maxExp = -1074, 1023
 
 // NewDecayed returns an empty decayed accumulator with the given
 // window width and half-life in seconds (width ≤ 0 selects 1 s,
@@ -73,7 +81,7 @@ func NewDecayed(width, halfLife float64) *Decayed {
 	if !(halfLife > 0) {
 		halfLife = 60
 	}
-	return &Decayed{width: width, halfLife: halfLife, buckets: make(map[int]float64)}
+	return &Decayed{width: width, halfLife: halfLife}
 }
 
 // Count returns the exact raw observation count (undecayed).
@@ -108,14 +116,48 @@ func (d *Decayed) decayBy(k int64) {
 	d.weight *= g
 	d.nonPos *= g
 	d.m2 *= g
-	for e, w := range d.buckets {
-		w *= g
-		if w < decayedFloor {
-			delete(d.buckets, e)
-			continue
+	for i, w := range d.buckets {
+		if w *= g; w < decayedFloor {
+			w = 0
 		}
-		d.buckets[e] = w
+		d.buckets[i] = w
 	}
+	d.trim()
+}
+
+// trim drops the empty buckets at both ends of the occupied range.
+func (d *Decayed) trim() {
+	b := d.buckets
+	for len(b) > 0 && b[len(b)-1] == 0 {
+		b = b[:len(b)-1]
+	}
+	f := 0
+	for f < len(b) && b[f] == 0 {
+		f++
+	}
+	if f > 0 {
+		b = b[:copy(b, b[f:])]
+		d.lo += f
+	}
+	d.buckets = b
+}
+
+// bump adds one unit of weight to bucket e, widening the occupied
+// range to reach it.
+func (d *Decayed) bump(e int) {
+	switch {
+	case len(d.buckets) == 0:
+		d.buckets, d.lo = append(d.buckets, 0), e
+	case e < d.lo:
+		n := d.lo - e
+		d.buckets = append(d.buckets, make([]float64, n)...)
+		copy(d.buckets[n:], d.buckets)
+		clear(d.buckets[:n])
+		d.lo = e
+	case e-d.lo >= len(d.buckets):
+		d.buckets = append(d.buckets, make([]float64, e-d.lo+1-len(d.buckets))...)
+	}
+	d.buckets[e-d.lo]++
 }
 
 // roll advances the decay window to w.
@@ -146,7 +188,7 @@ func (d *Decayed) ObserveAt(t, x float64) {
 		d.roll(w)
 	}
 	if x > 0 && !math.IsInf(x, 1) && !math.IsNaN(x) {
-		d.buckets[Exponent(x)]++
+		d.bump(Exponent(x))
 		d.weight++
 	} else {
 		d.nonPos++
@@ -171,15 +213,16 @@ func (d *Decayed) AdvanceTo(t float64) {
 	}
 }
 
-// Buckets returns the decayed log₂ buckets in ascending exponent
-// order (weights, not counts).
-func (d *Decayed) Buckets() []DecayedBucket {
-	out := make([]DecayedBucket, 0, len(d.buckets))
-	for e, w := range d.buckets {
-		out = append(out, DecayedBucket{Exp: e, Weight: jsonF64(w)})
+// AppendBuckets appends the occupied decayed log₂ buckets to dst in
+// ascending exponent order (weights, not counts) and returns the
+// extended slice.
+func (d *Decayed) AppendBuckets(dst []DecayedBucket) []DecayedBucket {
+	for i, w := range d.buckets {
+		if w != 0 {
+			dst = append(dst, DecayedBucket{Exp: d.lo + i, Weight: jsonF64(w)})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Exp < out[j].Exp })
-	return out
+	return dst
 }
 
 // DecayedBucket is one decayed histogram bucket [2^exp, 2^(exp+1)).
@@ -190,7 +233,7 @@ type DecayedBucket struct {
 
 // decayedState is the serialized form; float aggregates ride through
 // jsonF64 so corrupted-trace infinities still serialize, and buckets
-// are sorted so equal states are byte-identical.
+// are in ascending exponent order so equal states are byte-identical.
 type decayedState struct {
 	Width    float64         `json:"width"`
 	HalfLife float64         `json:"half_life"`
@@ -210,11 +253,16 @@ func (d *Decayed) State() ([]byte, error) {
 	return json.Marshal(decayedState{
 		Width: d.width, HalfLife: d.halfLife, Cur: d.cur, Open: d.open,
 		Weight: jsonF64(d.weight), Mean: jsonF64(d.mean), M2: jsonF64(d.m2),
-		NonPos: jsonF64(d.nonPos), Total: d.total, Late: d.late, Buckets: d.Buckets(),
+		NonPos: jsonF64(d.nonPos), Total: d.total, Late: d.late,
+		Buckets: d.AppendBuckets([]DecayedBucket{}), // empty serializes as [], not null
 	})
 }
 
-// Restore replaces the sketch's state from State output.
+// Restore replaces the sketch's state from State output. Buckets
+// must come in strictly ascending exponent order, within the
+// exponents of finite positive float64s, each weighing at least
+// decayedFloor — what State emits — so the dense histogram stays
+// bounded and Restore(State()) stays exact.
 func (d *Decayed) Restore(data []byte) error {
 	st, err := decodeState[decayedState]("decayed", data)
 	if err != nil {
@@ -226,17 +274,31 @@ func (d *Decayed) Restore(data []byte) error {
 	if st.Total < 0 || st.Late < 0 || float64(st.Weight) < 0 || float64(st.NonPos) < 0 {
 		return fmt.Errorf("stream: decayed state has negative mass")
 	}
-	buckets := make(map[int]float64, len(st.Buckets))
-	for _, b := range st.Buckets {
-		if float64(b.Weight) < 0 {
-			return fmt.Errorf("stream: decayed bucket %d has negative weight", b.Exp)
+	for i, b := range st.Buckets {
+		if b.Exp < minExp || b.Exp > maxExp {
+			return fmt.Errorf("stream: decayed bucket exponent %d outside [%d, %d]", b.Exp, minExp, maxExp)
 		}
-		buckets[b.Exp] += float64(b.Weight)
+		if i > 0 && b.Exp <= st.Buckets[i-1].Exp {
+			return fmt.Errorf("stream: decayed bucket exponents not strictly ascending at %d", b.Exp)
+		}
+		if w := float64(b.Weight); !(w >= decayedFloor) || math.IsInf(w, 1) {
+			return fmt.Errorf("stream: decayed bucket %d has weight %g, want a finite weight of at least %g", b.Exp, w, decayedFloor)
+		}
+	}
+	var buckets []float64
+	var lo int
+	if n := len(st.Buckets); n > 0 {
+		lo = st.Buckets[0].Exp
+		buckets = make([]float64, st.Buckets[n-1].Exp-lo+1)
+		for _, b := range st.Buckets {
+			buckets[b.Exp-lo] = float64(b.Weight)
+		}
 	}
 	*d = Decayed{
 		width: st.Width, halfLife: st.HalfLife, cur: st.Cur, open: st.Open,
 		weight: float64(st.Weight), mean: float64(st.Mean), m2: float64(st.M2),
-		nonPos: float64(st.NonPos), total: st.Total, late: st.Late, buckets: buckets,
+		nonPos: float64(st.NonPos), total: st.Total, late: st.Late,
+		buckets: buckets, lo: lo,
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -89,7 +90,7 @@ func TestDecayedHalfLife(t *testing.T) {
 	if w := d.Weight(); math.Abs(w-0.5) > 1e-12 {
 		t.Fatalf("weight after one half-life = %g, want 0.5", w)
 	}
-	bs := d.Buckets()
+	bs := d.AppendBuckets(nil)
 	if len(bs) != 1 || bs[0].Exp != 2 || math.Abs(float64(bs[0].Weight)-0.5) > 1e-12 {
 		t.Fatalf("buckets after decay: %+v", bs)
 	}
@@ -99,8 +100,8 @@ func TestDecayedHalfLife(t *testing.T) {
 	}
 	// Long silence drops the bucket mass below the floor entirely.
 	d.AdvanceTo(8 * 40)
-	if len(d.Buckets()) != 0 {
-		t.Fatalf("buckets not garbage-collected after long silence: %+v", d.Buckets())
+	if len(d.AppendBuckets(nil)) != 0 {
+		t.Fatalf("buckets not garbage-collected after long silence: %+v", d.AppendBuckets(nil))
 	}
 }
 
@@ -160,5 +161,127 @@ func TestWindowedRestoreRejectsCorruption(t *testing.T) {
 		if err := newTestDecayed().Restore([]byte(raw)); err == nil {
 			t.Fatalf("%s: corrupted state accepted", name)
 		}
+	}
+}
+
+// TestDecayedDenseMatchesMap: the dense histogram equals, bit for bit,
+// a map of independently decayed weights with the same floor, as the
+// occupied exponent range widens at both ends, empties at both ends
+// under decay, and empties entirely.
+func TestDecayedDenseMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	d := NewDecayed(1, 4)
+	ref := map[int]float64{}
+	cur, open := int64(0), false
+	tm := 0.0
+	for i := 0; i < 20000; i++ {
+		switch {
+		case i%997 == 0:
+			tm += 200 // long silence: every bucket decays away
+		case i%50 == 0:
+			tm += 10 + rng.Float64()*30
+		default:
+			tm += rng.ExpFloat64() * 0.5
+		}
+		x := math.Ldexp(1+rng.Float64(), rng.Intn(60)-30)
+		if i%7 == 0 {
+			x = math.Ldexp(1, minExp+rng.Intn(maxExp-minExp+1))
+		}
+		d.ObserveAt(tm, x)
+		if w := int64(tm); !open {
+			cur, open = w, true
+		} else if w > cur {
+			g := math.Exp2(-float64(w-cur) * 1 / 4)
+			for e, v := range ref {
+				if v *= g; v < decayedFloor {
+					delete(ref, e)
+				} else {
+					ref[e] = v
+				}
+			}
+			cur = w
+		}
+		ref[Exponent(x)]++
+		got := d.AppendBuckets(nil)
+		if len(got) != len(ref) {
+			t.Fatalf("step %d: %d buckets, map reference has %d", i, len(got), len(ref))
+		}
+		for j, b := range got {
+			if j > 0 && b.Exp <= got[j-1].Exp {
+				t.Fatalf("step %d: buckets not ascending: %+v", i, got)
+			}
+			if math.Float64bits(float64(b.Weight)) != math.Float64bits(ref[b.Exp]) {
+				t.Fatalf("step %d: bucket %d weighs %v, map reference %v", i, b.Exp, b.Weight, ref[b.Exp])
+			}
+		}
+	}
+}
+
+// TestDecayedRestoreBoundsBuckets: Restore accepts only bucket lists
+// State can emit — strictly ascending exponents of finite positive
+// float64s, weights of at least decayedFloor — and a rejected state
+// leaves the sketch as it was. Exponents of ±2³⁰ would otherwise size
+// the dense histogram at gigabytes, and a zero weight would not
+// survive State(Restore(s)).
+func TestDecayedRestoreBoundsBuckets(t *testing.T) {
+	d := NewDecayed(1, 8)
+	d.ObserveAt(0.5, 3)
+	d.ObserveAt(0.7, 1e6)
+	st, err := d.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	withBuckets := func(buckets string) []byte {
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(st, &m); err != nil {
+			t.Fatal(err)
+		}
+		m["buckets"] = json.RawMessage(buckets)
+		out, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for name, buckets := range map[string]string{
+		"exponent 2^30":    `[{"exp":1073741824,"w":1}]`,
+		"exponent -2^30":   `[{"exp":-1073741824,"w":1}]`,
+		"exponents ±2^30":  `[{"exp":-1073741824,"w":1},{"exp":1073741824,"w":1}]`,
+		"above max":        `[{"exp":1024,"w":1}]`,
+		"below min":        `[{"exp":-1075,"w":1}]`,
+		"duplicate":        `[{"exp":3,"w":1},{"exp":3,"w":2}]`,
+		"unsorted":         `[{"exp":5,"w":1},{"exp":3,"w":1}]`,
+		"zero weight":      `[{"exp":3,"w":0}]`,
+		"below floor":      `[{"exp":3,"w":1e-10}]`,
+		"negative weight":  `[{"exp":3,"w":-4}]`,
+		"non-finite":       `[{"exp":3,"w":"+Inf"}]`,
+		"zero among valid": `[{"exp":1,"w":1},{"exp":3,"w":0},{"exp":19,"w":1}]`,
+	} {
+		if err := d.Restore(withBuckets(buckets)); err == nil {
+			t.Errorf("%s: state accepted", name)
+			continue
+		}
+		if after, err := d.State(); err != nil || !bytes.Equal(after, st) {
+			t.Errorf("%s: rejected restore modified the sketch", name)
+		}
+	}
+	// The extreme exponents themselves are valid and round-trip.
+	edge := withBuckets(`[{"exp":-1074,"w":1},{"exp":1023,"w":1e-9}]`)
+	if err := d.Restore(edge); err != nil {
+		t.Fatalf("extreme exponents rejected: %v", err)
+	}
+	if bs := d.AppendBuckets(nil); len(bs) != 2 || bs[0].Exp != -1074 || bs[1].Exp != 1023 || bs[1].Weight != 1e-9 {
+		t.Fatalf("extreme exponents restored as %+v", bs)
+	}
+	s1, err := d.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := NewDecayed(1, 8)
+	if err := back.Restore(s1); err != nil {
+		t.Fatal(err)
+	}
+	if s2, err := back.State(); err != nil || !bytes.Equal(s1, s2) {
+		t.Fatalf("extreme exponents do not round-trip:\n%s\n%s", s1, s2)
 	}
 }
