@@ -14,7 +14,7 @@
 //	wanstream trace.conn
 //	wanstream -json trace.pkt
 //	wanstream -shards 8 -eps 0.002 big.conn
-//	wanstream -state sketch.json trace.conn   # persist the merged sketch
+//	wanstream -state sketch.bin trace.conn    # persist the merged sketch
 //	wanstream -lenient damaged.conn           # skip malformed records
 //	wanstream -serve :8077 -progress big.conn # live monitor + ticker
 //	wanstream shard0.conn shard1.conn ...     # multi-file canonical merge
@@ -101,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	maxLine := fs.Int("max-line-bytes", trace.DefaultMaxLineBytes, "hard limit on a single trace line")
 	maxRecords := fs.Int("max-records", trace.DefaultMaxRecords, "hard limit on decoded records")
 	jsonOut := fs.Bool("json", false, "emit the summary as JSON")
-	statePath := fs.String("state", "", "also write the merged sketch state (deterministic JSON) to this file")
+	statePath := fs.String("state", "", "also write the merged sketch state (deterministic binary; with -follow, the observatory state as JSON) to this file")
 
 	// Live observatory mode (-follow selects it; see internal/observe).
 	follow := fs.Bool("follow", false, "replay the trace through the live observatory, one verdict line per estimator window")

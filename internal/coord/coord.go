@@ -55,8 +55,10 @@ import (
 	"wantraffic/internal/stream"
 )
 
-// Proto is the protocol tag every upload and snapshot carries.
-const Proto = "wantraffic-coord/v1"
+// Proto is the protocol tag every upload and snapshot carries. v2
+// carries the binary v3 sketch state; a v1 upload, checkpoint or
+// snapshot is rejected, dropped or re-ingested.
+const Proto = "wantraffic-coord/v2"
 
 // Upload verdicts.
 const (
@@ -73,7 +75,9 @@ const (
 )
 
 // Upload is one worker→coordinator state transfer: the worker's full
-// serialized sketch plus the ordering and integrity stamps.
+// serialized sketch plus the ordering and integrity stamps. The state
+// is binary (stream.Sketch.State), so it travels base64-encoded in the
+// JSON envelope.
 type Upload struct {
 	Proto   string `json:"proto"`
 	Worker  string `json:"worker"`
@@ -86,10 +90,10 @@ type Upload struct {
 	// seconds, and Pipeline the trace framing's pipeline ID. Both are
 	// freshness metadata: the digest covers State alone, so old workers
 	// that omit them stay protocol-compatible.
-	WatermarkS float64         `json:"watermark_s,omitempty"`
-	Pipeline   string          `json:"pipeline,omitempty"`
-	Digest     string          `json:"digest"`
-	State      json.RawMessage `json:"state"`
+	WatermarkS float64 `json:"watermark_s,omitempty"`
+	Pipeline   string  `json:"pipeline,omitempty"`
+	Digest     string  `json:"digest"`
+	State      []byte  `json:"state"`
 }
 
 // Digest computes the SHA-256 hex digest of a state blob.

@@ -98,7 +98,7 @@ func referenceDigest(t *testing.T, shards []*trace.ConnTrace, cfg stream.Config)
 }
 
 // uploadFor wraps a sketch's serialized state in an upload envelope.
-func uploadFor(t *testing.T, sk *stream.Sketch, worker string, shard int, epoch, seq int64, final bool) Upload {
+func uploadFor(t testing.TB, sk *stream.Sketch, worker string, shard int, epoch, seq int64, final bool) Upload {
 	t.Helper()
 	state, err := sk.State()
 	if err != nil {

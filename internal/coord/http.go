@@ -14,11 +14,12 @@ import (
 //
 //	POST /v1/upload    worker state transfer (guarded)
 //	GET  /v1/results   combined results JSON (open)
-//	GET  /v1/state     merged sketch state bytes (open)
+//	GET  /v1/state     merged binary sketch state (open)
 //	POST /v1/snapshot  force a snapshot write (guarded)
 
-// maxUploadBytes bounds one upload body (a full serialized sketch is
-// tens of KB; 16 MiB leaves two orders of magnitude of headroom).
+// maxUploadBytes bounds one upload body. A day-scale sketch state is
+// about 1 MB, 1.33 MB once base64-encoded in the envelope; 16 MiB
+// leaves an order of magnitude of headroom.
 const maxUploadBytes = 16 << 20
 
 // Handlers returns the coordinator's route map. Mutating routes are
@@ -119,7 +120,7 @@ func (c *Coordinator) handleState(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no worker states yet", http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Wantraffic-State-SHA256", digest)
 	w.Write(state)
 }

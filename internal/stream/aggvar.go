@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -156,43 +155,49 @@ func (a *AggVar) Merge(o *AggVar) error {
 	return nil
 }
 
-// aggVarState is the serialized form: the bin counts beside the
-// pinned horizon.
-type aggVarState struct {
-	Horizon float64 `json:"horizon"`
-	windowState
+// clone deep-copies the series.
+func (a *AggVar) clone() *AggVar {
+	c := *a
+	c.counts = append([]int64(nil), a.counts...)
+	return &c
 }
 
-func (a *AggVar) state() aggVarState {
-	return aggVarState{Horizon: a.horizon, windowState: windowState{
-		Width: a.width, Early: a.early, Late: a.late, Total: a.total, Counts: a.counts}}
+// appendState appends the series section of a sketch state.
+func (a *AggVar) appendState(b []byte) []byte {
+	return appendSeries(b, a.width, a.horizon, a.early, a.late, a.total, a.counts)
 }
 
-// State serializes the accumulator deterministically as JSON.
-func (a *AggVar) State() ([]byte, error) { return json.Marshal(a.state()) }
+// State serializes the count series deterministically: the series
+// section of a sketch state (DESIGN.md §10).
+func (a *AggVar) State() ([]byte, error) { return a.appendState(nil), nil }
 
-func (a *AggVar) restore(st aggVarState) error {
-	if !(st.Width > 0) || st.Horizon < 0 {
-		return fmt.Errorf("stream: aggvar state has invalid width %g or horizon %g", st.Width, st.Horizon)
+// readState replaces the series from its state section. The tallies
+// and the bin count are checked before the bins are allocated.
+func (a *AggVar) readState(in *decoder) error {
+	width, horizon := in.float(), in.float()
+	early, late, total := in.count(), in.count(), in.count()
+	bins := in.uvarint()
+	if in.err != nil {
+		return in.err
 	}
-	if len(st.Counts) > MaxWindows {
-		return fmt.Errorf("stream: aggvar state spans %d bins (limit %d)", len(st.Counts), MaxWindows)
+	if !(width > 0 && width <= math.MaxFloat64) || !(horizon >= 0 && horizon <= math.MaxFloat64) {
+		return fmt.Errorf("stream: aggvar state has invalid width %g or horizon %g", width, horizon)
+	}
+	if bins > MaxWindows {
+		return fmt.Errorf("stream: aggvar state spans %d bins (limit %d)", bins, MaxWindows)
 	}
 	// A pinned horizon fixes the bin vector: ObserveMany indexes it
 	// directly and clamps into the last bin.
-	if n := pinnedBins(st.Width, st.Horizon); st.Horizon > 0 && len(st.Counts) != n {
-		return fmt.Errorf("stream: aggvar state pins horizon %g at %d bins, want %d", st.Horizon, len(st.Counts), n)
+	if n := pinnedBins(width, horizon); horizon > 0 && bins != uint64(n) {
+		return fmt.Errorf("stream: aggvar state pins horizon %g at %d bins, want %d", horizon, bins, n)
 	}
-	var binned int64
-	for _, c := range st.Counts {
-		if c < 0 {
-			return fmt.Errorf("stream: aggvar state has negative count")
-		}
-		binned += c
+	if early > total || late > total-early {
+		return fmt.Errorf("stream: aggvar early %d and late %d exceed the total %d", early, late, total)
 	}
-	if st.Early < 0 || st.Late < 0 || binned+st.Early+st.Late != st.Total {
-		return fmt.Errorf("stream: aggvar counts sum to %d but total is %d", binned+st.Early+st.Late, st.Total)
+	counts := in.readSeriesCounts(int(bins), total-early-late)
+	if in.err != nil {
+		return in.err
 	}
-	*a = AggVar{width: st.Width, counts: st.Counts, early: st.Early, late: st.Late, total: st.Total, horizon: st.Horizon}
+	*a = AggVar{width: width, counts: counts, early: early, late: late, total: total, horizon: horizon}
 	return nil
 }

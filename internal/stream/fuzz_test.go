@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -55,25 +56,45 @@ func seedStates(t interface{ Fatal(...any) }) [][]byte {
 	return append(out, state)
 }
 
+// forgedHeader is a v3 sketch state's header — magic, version, kind,
+// shard 0, records and window — for hand-built states.
+func forgedHeader(kind string, records int64, window float64) []byte {
+	b := binary.AppendUvarint([]byte(stateMagic), stateVersion)
+	b = binary.AppendUvarint(b, uint64(len(kind)))
+	b = append(b, kind...)
+	b = binary.AppendVarint(b, 0)
+	b = appendUint(b, records)
+	return appendFloat(b, window)
+}
+
 // FuzzRestore fuzzes RestoreSketch, the decoder of coordinator uploads
-// and worker checkpoints. Arbitrary bytes must never panic it; any
+// and worker checkpoints. Arbitrary bytes must never panic it; a JSON
+// document (an earlier version's state) is always rejected; any
 // bytes it accepts must re-serialize canonically (RestoreSketch then
 // State, then RestoreSketch of THAT state, reproduces the state
 // byte-for-byte); and the restored sketch must survive further
 // ingest and a merge with a fresh sketch of its kind.
 func FuzzRestore(f *testing.F) {
-	for _, s := range seedStates(f) {
+	seeds := seedStates(f)
+	for _, s := range seeds {
 		f.Add(s)
 	}
+	empty := func(width, horizon float64, bins int) []byte {
+		return appendSeries(nil, width, horizon, 0, 0, 0, make([]int64, bins))
+	}
+	f.Add(append(forgedHeader(ConnSketch, 9999, 1), empty(1, 0, 0)...))
+	f.Add(append(forgedHeader(PacketSketch, 0, 1), empty(1, 10, 0)...))
+	f.Add(append(forgedHeader(ConnSketch, 0, 1), empty(0.3, 0, 4)...))
+	f.Add(seeds[0][:len(seeds[0])/2])
+	// A v2 JSON state: rejected with the version error.
 	f.Add([]byte(`{"v":2,"trace_kind":"conn","records":9999,"window":1,"dims":{},"series":{"width":1}}`))
-	f.Add([]byte(`{"v":2,"trace_kind":"packet","window":1,"series":{"horizon":10,"width":1,"counts":[],"total":0}}`))
-	f.Add([]byte(`{"v":2,"trace_kind":"conn","window":1,"series":{"width":0.3}}`))
-	f.Add([]byte(`{"trace_kind":"conn","arrivals":{"kind":"window","state":{"width":0}}}`))
-	f.Add([]byte(`not json at all`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sk, err := RestoreSketch(data)
 		if err != nil {
 			return // rejected, as long as it didn't panic
+		}
+		if bytes.HasPrefix(data, []byte("{")) {
+			t.Fatal("a JSON state was accepted")
 		}
 		s1, err := sk.State()
 		if err != nil {
@@ -88,7 +109,7 @@ func FuzzRestore(f *testing.F) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(s1, s2) {
-			t.Fatalf("state round-trip not byte-identical:\n%s\n%s", s1, s2)
+			t.Fatalf("state round-trip not byte-identical:\n%x\n%x", s1, s2)
 		}
 
 		fresh, err := NewSketch(sk.TraceKind(), sk.Shard(), Config{

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -289,8 +290,8 @@ type gkState struct {
 	Buf    []jsonF64 `json:"buf,omitempty"`
 }
 
-// State serializes the summary deterministically as JSON. It does
-// not modify the summary.
+// State serializes the summary deterministically as JSON, the form
+// the observatory's state embeds. It does not modify the summary.
 func (g *GK) State() ([]byte, error) { return json.Marshal(g.state()) }
 
 // Restore replaces the summary from State output.
@@ -299,7 +300,14 @@ func (g *GK) Restore(data []byte) error {
 	if err != nil {
 		return err
 	}
-	return g.restore(st)
+	var buf []float64
+	if len(st.Buf) > 0 {
+		buf = make([]float64, len(st.Buf))
+		for i, v := range st.Buf {
+			buf[i] = float64(v)
+		}
+	}
+	return g.set(st.Eps, st.N, st.Tuples, buf)
 }
 
 func (g *GK) state() gkState {
@@ -316,29 +324,57 @@ func (g *GK) state() gkState {
 	return st
 }
 
-func (g *GK) restore(st gkState) error {
-	if !(st.Eps > 0 && st.Eps < 1) {
-		return fmt.Errorf("stream: gk state has invalid eps %g", st.Eps)
+// appendState appends the quantile section of a sketch state: ε, n,
+// the tuples (value bits, g, Δ), then the insertion buffer, unflushed
+// for the reasons gkState gives.
+func (g *GK) appendState(b []byte) []byte {
+	b = appendFloat(b, g.eps)
+	b = appendUint(b, g.n)
+	b = binary.AppendUvarint(b, uint64(len(g.tuples)))
+	for _, t := range g.tuples {
+		b = appendFloat(b, float64(t.V))
+		b = appendUint(b, t.G)
+		b = appendUint(b, t.Delta)
 	}
-	var total int64
-	for _, t := range st.Tuples {
+	return appendFloats(b, g.buf)
+}
+
+// readState replaces the summary from its state section. A tuple
+// takes at least 10 bytes, which bounds the tuple count by the input.
+func (g *GK) readState(in *decoder) error {
+	eps, n := in.float(), in.count()
+	tuples := make([]gkTuple, in.length(10))
+	for i := range tuples {
+		tuples[i] = gkTuple{V: jsonF64(in.float()), G: in.count(), Delta: in.count()}
+	}
+	buf := in.floats()
+	if in.err != nil {
+		return in.err
+	}
+	return g.set(eps, n, tuples, buf)
+}
+
+// set replaces the summary after checking that the tuples cover at
+// most n ranks.
+func (g *GK) set(eps float64, n int64, tuples []gkTuple, buf []float64) error {
+	if !(eps > 0 && eps < 1) {
+		return fmt.Errorf("stream: gk state has invalid eps %g", eps)
+	}
+	if n < 0 {
+		return fmt.Errorf("stream: gk state claims n=%d", n)
+	}
+	left := n
+	for _, t := range tuples {
 		if t.G < 0 || t.Delta < 0 {
 			return fmt.Errorf("stream: gk state has negative rank span")
 		}
-		total += t.G
-	}
-	if total > st.N || st.N < 0 {
-		return fmt.Errorf("stream: gk state covers %d ranks but claims n=%d", total, st.N)
-	}
-	fresh := NewGK(st.Eps)
-	fresh.n = st.N
-	fresh.tuples = st.Tuples
-	if len(st.Buf) > 0 {
-		fresh.buf = make([]float64, len(st.Buf))
-		for i, v := range st.Buf {
-			fresh.buf[i] = float64(v)
+		if t.G > left {
+			return fmt.Errorf("stream: gk state covers more ranks than its n=%d", n)
 		}
+		left -= t.G
 	}
+	fresh := NewGK(eps)
+	fresh.n, fresh.tuples, fresh.buf = n, tuples, buf
 	*g = *fresh
 	return nil
 }

@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 )
@@ -104,31 +106,58 @@ func (h *Log2Hist) Merge(o *Log2Hist) error {
 	return nil
 }
 
-// log2State is the serialized form: populated buckets in ascending
-// exponent order, so equal histograms serialize identically.
-type log2State struct {
-	NonPos  int64    `json:"non_positive"`
-	Total   int64    `json:"total"`
-	Buckets []Bucket `json:"buckets"`
+// clone deep-copies the histogram.
+func (h *Log2Hist) clone() *Log2Hist {
+	c := *h
+	c.counts = maps.Clone(h.counts)
+	return &c
 }
 
-func (h *Log2Hist) state() log2State {
-	return log2State{NonPos: h.nonPos, Total: h.total, Buckets: h.Buckets()}
+// appendState appends the histogram section: the non-positive and
+// total tallies, then the populated buckets in ascending exponent
+// order, each a zig-zag exponent and its count.
+func (h *Log2Hist) appendState(b []byte) []byte {
+	b = appendUint(b, h.nonPos)
+	b = appendUint(b, h.total)
+	b = binary.AppendUvarint(b, uint64(len(h.counts)))
+	for _, bk := range h.Buckets() {
+		b = binary.AppendVarint(b, int64(bk.Exp))
+		b = appendUint(b, bk.Count)
+	}
+	return b
 }
 
-func (h *Log2Hist) restore(st log2State) error {
-	counts := make(map[int]int64, len(st.Buckets))
-	var sum int64
-	for _, b := range st.Buckets {
-		if b.Count < 0 {
-			return fmt.Errorf("stream: log2hist bucket %d has negative count", b.Exp)
+// readState replaces the histogram from its state section. Buckets
+// must be what appendState writes: strictly ascending exponents of
+// finite positive float64s, each holding at least one observation,
+// summing with the non-positive tally to the total.
+func (h *Log2Hist) readState(in *decoder) error {
+	nonPos, total := in.count(), in.count()
+	n := in.length(2)
+	if in.err != nil {
+		return in.err
+	}
+	if n > maxExp-minExp+1 {
+		return fmt.Errorf("stream: log2hist state claims %d buckets", n)
+	}
+	counts := make(map[int]int64, n)
+	left := total - nonPos
+	prev := int64(math.MinInt64)
+	for i := 0; i < n; i++ {
+		k, c := in.varint(), in.count()
+		if in.err != nil {
+			return in.err
 		}
-		counts[b.Exp] += b.Count
-		sum += b.Count
+		if k <= prev || k < minExp || k > maxExp || c < 1 || c > left {
+			return fmt.Errorf("stream: log2hist bucket %d (count %d) out of order, empty or past the total", k, c)
+		}
+		counts[int(k)] = c
+		left -= c
+		prev = k
 	}
-	if st.NonPos < 0 || sum+st.NonPos != st.Total {
-		return fmt.Errorf("stream: log2hist buckets sum to %d but total is %d", sum+st.NonPos, st.Total)
+	if nonPos > total || left != 0 {
+		return fmt.Errorf("stream: log2hist buckets and %d non-positive do not sum to the total %d", nonPos, total)
 	}
-	*h = Log2Hist{counts: counts, nonPos: st.NonPos, total: st.Total}
+	*h = Log2Hist{counts: counts, nonPos: nonPos, total: total}
 	return nil
 }

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 )
 
@@ -112,27 +111,25 @@ func (m *Moments) Min() float64 { return m.min }
 // Max returns the largest observation (−Inf when empty).
 func (m *Moments) Max() float64 { return m.max }
 
-// momentsState is the serialized form. Every float rides through
-// jsonF64: the empty sketch's min/max are ±Inf, and a corrupted
-// binary record can feed Inf/NaN observations into any moment, which
-// plain JSON cannot encode.
-type momentsState struct {
-	N    int64   `json:"n"`
-	Mean jsonF64 `json:"mean"`
-	M2   jsonF64 `json:"m2"`
-	Min  jsonF64 `json:"min"`
-	Max  jsonF64 `json:"max"`
-}
-
-func (m *Moments) state() momentsState {
-	return momentsState{N: m.n, Mean: jsonF64(m.mean), M2: jsonF64(m.m2), Min: jsonF64(m.min), Max: jsonF64(m.max)}
-}
-
-func (m *Moments) restore(st momentsState) error {
-	if st.N < 0 {
-		return fmt.Errorf("stream: moments state claims %d observations", st.N)
+// appendState appends the moments section: n, then mean, M2, min and
+// max as raw float bits (an empty sketch's ±Inf extremes and the Inf
+// or NaN a corrupted trace can feed in need no escaping).
+func (m *Moments) appendState(b []byte) []byte {
+	b = appendUint(b, m.n)
+	for _, v := range [...]float64{m.mean, m.m2, m.min, m.max} {
+		b = appendFloat(b, v)
 	}
-	*m = Moments{n: st.N, mean: float64(st.Mean), m2: float64(st.M2), min: float64(st.Min), max: float64(st.Max)}
+	return b
+}
+
+// readState replaces the moments from their state section.
+func (m *Moments) readState(in *decoder) error {
+	n := in.count()
+	mean, m2, lo, hi := in.float(), in.float(), in.float(), in.float()
+	if in.err != nil {
+		return in.err
+	}
+	*m = Moments{n: n, mean: mean, m2: m2, min: lo, max: hi}
 	return nil
 }
 

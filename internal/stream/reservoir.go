@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -23,7 +25,10 @@ type Reservoir struct {
 	seed   int64
 	n      int64
 	sample []float64
-	rng    *rand.Rand
+	// rng is nil until a draw needs it; replay then rebuilds it from
+	// (seed, n). A restored or cloned reservoir that is only merged
+	// never pays for the replay.
+	rng *rand.Rand
 }
 
 // NewReservoir returns an empty reservoir holding up to k samples
@@ -32,7 +37,7 @@ func NewReservoir(k int, seed int64) *Reservoir {
 	if k < 1 {
 		k = DefaultReservoirSize
 	}
-	return &Reservoir{k: k, seed: seed, rng: rand.New(rand.NewSource(seed))}
+	return &Reservoir{k: k, seed: seed}
 }
 
 // Count returns the number of observations seen (not kept).
@@ -53,6 +58,9 @@ func (r *Reservoir) ObserveMany(xs []float64) {
 	for ; i < len(xs) && len(r.sample) < r.k; i++ {
 		r.n++
 		r.sample = append(r.sample, xs[i])
+	}
+	if i < len(xs) && r.rng == nil {
+		r.rng = r.replay()
 	}
 	for ; i < len(xs); i++ {
 		r.n++
@@ -120,57 +128,62 @@ func mergeSeed(seedA, nA, seedB, nB int64) int64 {
 	return int64(h & (1<<62 - 1))
 }
 
-// reservoirState is the serialized form. math/rand exposes no RNG
-// state, but the draw sequence of an unmerged reservoir is fully
-// determined by (seed, n): Algorithm R consumes exactly one
-// Int63n(m) per observation m = k+1..n. Restore replays that
-// sequence against a fresh seed-keyed source, reconstructing the
-// exact RNG position — so a sketch checkpointed mid-stream and
-// restored continues byte-identically to the uninterrupted original
-// (the crash-recovery invariant the distributed workers rely on).
-// Post-merge reservoirs follow a merge-seeded trajectory instead;
-// they are only ever serialized as final results, never resumed into.
-type reservoirState struct {
-	K    int   `json:"k"`
-	Seed int64 `json:"seed"`
-	N    int64 `json:"n"`
-	// Sample rides through jsonF64 so Inf/NaN observations from a
-	// corrupted trace still serialize.
-	Sample []jsonF64 `json:"sample"`
-}
-
-func (r *Reservoir) state() reservoirState {
-	sample := make([]jsonF64, len(r.sample))
-	for i, v := range r.sample {
-		sample[i] = jsonF64(v)
-	}
-	return reservoirState{K: r.k, Seed: r.seed, N: r.n, Sample: sample}
-}
-
-func (r *Reservoir) restore(st reservoirState) error {
-	if st.K < 1 || st.N < 0 || int64(len(st.Sample)) != min(int64(st.K), st.N) {
-		return fmt.Errorf("stream: reservoir state k=%d n=%d holds %d samples", st.K, st.N, len(st.Sample))
-	}
-	sample := make([]float64, len(st.Sample))
-	for i, v := range st.Sample {
-		sample[i] = float64(v)
-	}
-	rng := rand.New(rand.NewSource(st.Seed))
-	if draws := st.N - int64(st.K); draws <= maxReplayDraws {
-		for m := int64(st.K) + 1; m <= st.N; m++ {
-			rng.Int63n(m)
-		}
-	} else {
+// replay returns the RNG an unmerged reservoir of n observations has
+// consumed. math/rand exposes no RNG state, but the draw sequence of
+// an unmerged reservoir is fully determined by (seed, n): Algorithm R
+// consumes exactly one Int63n(m) per observation m = k+1..n. Replaying
+// it against a fresh seed-keyed source reconstructs the exact RNG
+// position, so a sketch checkpointed mid-stream and restored continues
+// byte-identically to the uninterrupted original (the crash-recovery
+// invariant the distributed workers rely on). Post-merge reservoirs
+// follow a merge-seeded trajectory instead; they are only ever
+// serialized as final results, never resumed into.
+func (r *Reservoir) replay() *rand.Rand {
+	if r.n-int64(r.k) > maxReplayDraws {
 		// A forged or astronomically large state would make the replay
 		// unbounded; fall back to a deterministic reseed. Real shard
 		// streams sit far below the cap.
-		rng = rand.New(rand.NewSource(mergeSeed(st.Seed, st.N, st.Seed, st.N)))
+		return rand.New(rand.NewSource(mergeSeed(r.seed, r.n, r.seed, r.n)))
 	}
-	*r = Reservoir{k: st.K, seed: st.Seed, n: st.N, sample: sample, rng: rng}
-	return nil
+	rng := rand.New(rand.NewSource(r.seed))
+	for m := int64(r.k) + 1; m <= r.n; m++ {
+		rng.Int63n(m)
+	}
+	return rng
 }
 
-// maxReplayDraws bounds Restore's RNG replay (~1s of draws); states
-// past it — none produced by real ingest — lose continuation
-// exactness but stay deterministic.
+// maxReplayDraws bounds replay (~1s of draws); states past it — none
+// produced by real ingest — lose continuation exactness but stay
+// deterministic.
 const maxReplayDraws = 1 << 27
+
+// clone deep-copies the sample and leaves the RNG to replay, so the
+// copy continues exactly as a restore of the reservoir's state would.
+func (r *Reservoir) clone() *Reservoir {
+	return &Reservoir{k: r.k, seed: r.seed, n: r.n, sample: append([]float64(nil), r.sample...)}
+}
+
+// appendState appends the reservoir section: capacity, zig-zag seed,
+// observation count and the sample. The RNG is not stored; replay
+// rebuilds it.
+func (r *Reservoir) appendState(b []byte) []byte {
+	b = appendUint(b, int64(r.k))
+	b = binary.AppendVarint(b, r.seed)
+	b = appendUint(b, r.n)
+	return appendFloats(b, r.sample)
+}
+
+// readState replaces the reservoir from its state section, which must
+// hold min(k, n) samples.
+func (r *Reservoir) readState(in *decoder) error {
+	k, seed, n := in.count(), in.varint(), in.count()
+	sample := in.floats()
+	if in.err != nil {
+		return in.err
+	}
+	if k < 1 || k > math.MaxInt || int64(len(sample)) != min(k, n) {
+		return fmt.Errorf("stream: reservoir state k=%d n=%d holds %d samples", k, n, len(sample))
+	}
+	*r = Reservoir{k: int(k), seed: seed, n: n, sample: sample}
+	return nil
+}

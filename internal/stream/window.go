@@ -1,7 +1,5 @@
 package stream
 
-import "encoding/json"
-
 // WindowCounter is the Appendix-A arrival-window view of a count
 // series: per-window event counts at a fixed width, the streaming form
 // of the count processes behind the paper's Poisson tests. The
@@ -103,17 +101,8 @@ func (w *WindowCounter) Lag1() float64 {
 	return num / den
 }
 
-// windowState is the serialized form of a count vector, shared by the
-// window view and the AggVar series.
-type windowState struct {
-	Width  float64 `json:"width"`
-	Early  int64   `json:"early"`
-	Late   int64   `json:"late"`
-	Total  int64   `json:"total"`
-	Counts []int64 `json:"counts"`
-}
-
-// State serializes the windows deterministically as JSON.
+// State serializes the windows deterministically, in the series
+// section form of a sketch state with no horizon (DESIGN.md §10).
 func (w *WindowCounter) State() ([]byte, error) {
-	return json.Marshal(windowState{Width: w.width, Early: w.early, Late: w.late, Total: w.total, Counts: w.counts})
+	return appendSeries(nil, w.width, 0, w.early, w.late, w.total, w.counts), nil
 }
