@@ -51,6 +51,7 @@ func TestAllocObserveMany(t *testing.T) {
 		"aggvar":        0, // bins preallocated by the warmup below
 		"aggvar-pinned": 0,
 		"gk":            2, // one tuple-array grow + one compress append, amortized
+		"gk-json":       2,
 	}
 	for _, kind := range accKinds {
 		acc := kind.fresh()
